@@ -212,8 +212,8 @@ impl UavEddiRuntime {
         let reliability = self.safedrones.estimate();
 
         // Perception monitors share one frame. `assessment()` computes the
-        // dissimilarity once over presorted reference columns and derives
-        // the verdict from it — bit-identical to the naive accessor pair.
+        // dissimilarity once from the rank-indexed window and derives the
+        // verdict from it — bit-identical to the naive accessor pair.
         self.features.extract_into(scene, &mut self.frame);
         // Invariant: the monitor was constructed over this extractor's
         // reference set, so widths agree by construction. A violation

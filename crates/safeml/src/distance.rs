@@ -130,81 +130,67 @@ pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// [`kolmogorov_smirnov`] with the first sample supplied already sorted
-/// (ascending) and validated. The monitor's fast path sorts each reference
-/// column once instead of on every tick; since sorting the same finite
-/// data always yields the same array, the result is bit-identical to the
-/// naive function.
-///
-/// # Panics
-///
-/// Panics if `a_sorted` is empty or (in debug builds) not sorted, or if
-/// `b` is empty / non-finite.
-pub fn kolmogorov_smirnov_presorted(a_sorted: &[f64], b: &[f64]) -> f64 {
-    assert!(!a_sorted.is_empty(), "first sample is empty");
-    debug_assert!(
-        a_sorted.windows(2).all(|w| w[0] <= w[1]),
-        "first sample must be pre-sorted"
-    );
-    let b = sorted_copy("second", b);
-    ecdf_diff_walk(a_sorted, &b)
-        .into_iter()
-        .map(|(_, d, _)| d.abs())
-        .fold(0.0, f64::max)
+/// A runtime-window value annotated with its rank bounds in a sorted
+/// reference sample of size `n`: the ECDF fractions `#ref < value / n`
+/// and `#ref ≤ value / n`. Computed once, when the value enters the
+/// window, so that [`kolmogorov_smirnov_ranked`] needs no merge walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankedValue {
+    pub(crate) value: f64,
+    below: f64,
+    upto: f64,
 }
 
-/// [`kolmogorov_smirnov_presorted`] with a caller-provided scratch buffer
-/// for the second sample's sort and a streaming merge walk — the
-/// monitor's zero-alloc tick path: with a warm `scratch` the whole
-/// computation performs no heap allocations.
+impl RankedValue {
+    /// Ranks `value` in `reference_sorted` (ascending, finite). The
+    /// fractions are `i as f64 / n` exactly as the merge walk forms them.
+    pub(crate) fn new(reference_sorted: &[f64], value: f64) -> Self {
+        let n = reference_sorted.len() as f64;
+        let below = reference_sorted.partition_point(|r| *r < value);
+        let upto = below + reference_sorted[below..].partition_point(|r| *r <= value);
+        RankedValue {
+            value,
+            below: below as f64 / n,
+            upto: upto as f64 / n,
+        }
+    }
+}
+
+/// [`kolmogorov_smirnov`] between a reference sample and a window given
+/// as [`RankedValue`]s sorted ascending by `value`, all ranked against
+/// that reference. Runs over the window's distinct values only.
 ///
-/// Bit-identical to [`kolmogorov_smirnov_presorted`]: the unstable sort
-/// can only permute entries that compare equal, and the merge walk
-/// consumes equal entries together by comparison (`-0.0 == 0.0`
-/// included), so the sequence of ECDF diffs — and the running max over
-/// `|diff|` — is exactly the allocating variant's.
+/// Bit-identical to the merge walk. Each distinct window value `v`
+/// yields the two points `(#ref<v, #win<v)` and `(#ref≤v, #win≤v)`, fed
+/// into the walk's own `i / n − j / m` expression. The second point is
+/// a walk point. The first is the walk point at the largest reference
+/// value below `v` (or the previous window point, or `(0, 0)`). Between
+/// two window values `j` is fixed, and the correctly rounded
+/// `fl(fl(i/n) − fl(j/m))` is monotone in `i`, so every walk point
+/// there is bounded in absolute value by these two candidates; after the
+/// last window value the walk ends at `(n, m)`, where the difference
+/// is 0. Equal values (`-0.0 == 0.0` included) group as the walk groups
+/// them.
 ///
 /// # Panics
 ///
-/// Same contract as [`kolmogorov_smirnov_presorted`].
-pub fn kolmogorov_smirnov_presorted_scratch(
-    a_sorted: &[f64],
-    b: &[f64],
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    assert!(!a_sorted.is_empty(), "first sample is empty");
-    debug_assert!(
-        a_sorted.windows(2).all(|w| w[0] <= w[1]),
-        "first sample must be pre-sorted"
-    );
-    assert!(!b.is_empty(), "second sample is empty");
-    assert!(
-        b.iter().all(|x| x.is_finite()),
-        "second sample contains non-finite values"
-    );
-    scratch.clear();
-    scratch.extend_from_slice(b);
-    scratch.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    let a = a_sorted;
-    let b: &[f64] = scratch;
-    let (n, m) = (a.len() as f64, b.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
+/// Panics if `window_sorted` is empty.
+pub(crate) fn kolmogorov_smirnov_ranked(window_sorted: &[RankedValue]) -> f64 {
+    assert!(!window_sorted.is_empty(), "second sample is empty");
+    let m = window_sorted.len() as f64;
     let mut sup = 0.0f64;
-    while i < a.len() || j < b.len() {
-        let x = match (a.get(i), b.get(j)) {
-            (Some(&ai), Some(&bj)) => ai.min(bj),
-            (Some(&ai), None) => ai,
-            (None, Some(&bj)) => bj,
-            (None, None) => unreachable!(),
-        };
-        while i < a.len() && a[i] == x {
-            i += 1;
+    let (mut j, mut j_frac) = (0usize, 0.0f64);
+    while j < window_sorted.len() {
+        let v = window_sorted[j];
+        let mut k = j + 1;
+        while k < window_sorted.len() && window_sorted[k].value == v.value {
+            k += 1;
         }
-        while j < b.len() && b[j] == x {
-            j += 1;
-        }
-        let diff = i as f64 / n - j as f64 / m;
-        sup = sup.max(diff.abs());
+        let k_frac = k as f64 / m;
+        sup = sup
+            .max((v.below - j_frac).abs())
+            .max((v.upto - k_frac).abs());
+        (j, j_frac) = (k, k_frac);
     }
     sup
 }
@@ -378,26 +364,6 @@ mod tests {
         // a = {1,2}, b = {1.5, 2.5}: max gap is 0.5.
         let d = kolmogorov_smirnov(&[1.0, 2.0], &[1.5, 2.5]);
         assert!((d - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scratch_ks_is_bit_identical_to_presorted_and_naive() {
-        let mut a_sorted = A.to_vec();
-        a_sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        let mut scratch = Vec::new();
-        for b in [
-            shifted(0.3),
-            shifted(-2.0),
-            vec![0.5; 8],                         // massive ties
-            vec![0.0, -0.0, 0.4, 1.2, -0.0, 0.7], // signed-zero ties
-            vec![42.0],                           // unequal sizes
-        ] {
-            let naive = kolmogorov_smirnov(&A, &b);
-            let pre = kolmogorov_smirnov_presorted(&a_sorted, &b);
-            let scr = kolmogorov_smirnov_presorted_scratch(&a_sorted, &b, &mut scratch);
-            assert_eq!(naive.to_bits(), pre.to_bits());
-            assert_eq!(pre.to_bits(), scr.to_bits());
-        }
     }
 
     #[test]

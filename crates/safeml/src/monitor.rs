@@ -12,8 +12,7 @@
 //! * a **confidence** `= 1 − dissimilarity` in the ML outcome,
 //! * a three-way [`SafeMlVerdict`] against configurable thresholds.
 
-use crate::distance::DistanceMeasure;
-use std::collections::VecDeque;
+use crate::distance::{kolmogorov_smirnov_ranked, DistanceMeasure, RankedValue};
 
 /// Verdict levels the ConSert layer maps to mitigations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,7 +29,7 @@ pub enum SafeMlVerdict {
 /// Configuration of the monitor.
 #[derive(Debug, Clone)]
 pub struct SafeMlConfig {
-    /// Sliding window length (number of runtime samples).
+    /// Sliding window length (number of runtime samples); positive.
     pub window: usize,
     /// Distance measure to use.
     pub measure: DistanceMeasure,
@@ -38,7 +37,8 @@ pub struct SafeMlConfig {
     pub caution_threshold: f64,
     /// Dissimilarity at or above which the verdict is `Reject`.
     pub reject_threshold: f64,
-    /// Scale used to squash unbounded measures: `d ↦ d / (d + scale)`.
+    /// Scale used to squash unbounded measures: `d ↦ d / (d + scale)`;
+    /// finite and positive.
     pub squash_scale: f64,
 }
 
@@ -79,19 +79,18 @@ pub struct SafeMlMonitor {
     config: SafeMlConfig,
     /// Column-major reference: one Vec per feature.
     reference: Vec<Vec<f64>>,
-    /// Sliding window of runtime samples (row-major).
-    window: VecDeque<Vec<f64>>,
+    /// The sliding window as one flat row-major ring of up to
+    /// `window × width` values. Once full, row `head` is the oldest.
+    ring: Vec<f64>,
+    head: usize,
     samples_seen: u64,
-    /// Pre-sorted copy of `reference`, built lazily by
-    /// [`SafeMlMonitor::assessment`]. A pure accelerator: sorting the same
-    /// finite columns always yields the same arrays, so results are
-    /// bit-identical with or without it.
-    sorted_reference: Option<Vec<Vec<f64>>>,
-    /// Column-gather scratch for the fast path; reused every tick so a
-    /// steady-state assessment performs zero heap allocations.
-    col_scratch: Vec<f64>,
-    /// Sort scratch handed to the streaming KS kernel.
-    sort_scratch: Vec<f64>,
+    /// Pre-sorted copy of `reference`; empty until the first sample
+    /// builds it, so that construction stays cheap.
+    sorted_reference: Vec<Vec<f64>>,
+    /// Per feature, the window column kept sorted by value, each value
+    /// ranked against `sorted_reference` once, when it entered. Holds
+    /// the same values as the ring's column (up to the sign of zeros).
+    columns: Vec<Vec<RankedValue>>,
 }
 
 /// Errors from monitor construction and feeding.
@@ -112,6 +111,12 @@ pub enum SafeMlError {
     NonFinite,
     /// Config thresholds out of order (`caution >= reject`).
     BadThresholds,
+    /// Config window length was zero.
+    ZeroWindow,
+    /// A config threshold was NaN or infinite.
+    NonFiniteThreshold,
+    /// Config `squash_scale` was not finite and positive.
+    BadSquashScale,
 }
 
 impl std::fmt::Display for SafeMlError {
@@ -125,6 +130,11 @@ impl std::fmt::Display for SafeMlError {
             SafeMlError::NonFinite => write!(f, "non-finite feature value"),
             SafeMlError::BadThresholds => {
                 write!(f, "caution threshold must be below reject threshold")
+            }
+            SafeMlError::ZeroWindow => write!(f, "window length must be positive"),
+            SafeMlError::NonFiniteThreshold => write!(f, "non-finite verdict threshold"),
+            SafeMlError::BadSquashScale => {
+                write!(f, "squash scale must be finite and positive")
             }
         }
     }
@@ -142,8 +152,17 @@ impl SafeMlMonitor {
         if reference_rows.is_empty() {
             return Err(SafeMlError::EmptyReference);
         }
+        if config.window == 0 {
+            return Err(SafeMlError::ZeroWindow);
+        }
+        if !(config.caution_threshold.is_finite() && config.reject_threshold.is_finite()) {
+            return Err(SafeMlError::NonFiniteThreshold);
+        }
         if config.caution_threshold >= config.reject_threshold {
             return Err(SafeMlError::BadThresholds);
+        }
+        if !(config.squash_scale.is_finite() && config.squash_scale > 0.0) {
+            return Err(SafeMlError::BadSquashScale);
         }
         let width = reference_rows[0].len();
         if width == 0 {
@@ -164,11 +183,11 @@ impl SafeMlMonitor {
         Ok(SafeMlMonitor {
             config,
             reference,
-            window: VecDeque::new(),
+            ring: Vec::new(),
+            head: 0,
             samples_seen: 0,
-            sorted_reference: None,
-            col_scratch: Vec::new(),
-            sort_scratch: Vec::new(),
+            sorted_reference: Vec::new(),
+            columns: Vec::new(),
         })
     }
 
@@ -193,36 +212,81 @@ impl SafeMlMonitor {
         if features.iter().any(|v| !v.is_finite()) {
             return Err(SafeMlError::NonFinite);
         }
-        // Recycle the evicted row's buffer: once the window is full the
-        // ring steady-states with zero heap allocations per sample.
-        let mut slot = if self.window.len() == self.config.window {
-            self.window.pop_front().expect("full window is non-empty")
+        let width = features.len();
+        if self.sorted_reference.is_empty() {
+            // First sample: presort the reference and size the window
+            // buffers exactly, so no later sample allocates.
+            self.sorted_reference = self
+                .reference
+                .iter()
+                .map(|col| {
+                    let mut v = col.clone();
+                    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+                    v
+                })
+                .collect();
+            self.ring
+                .reserve_exact(self.config.window.saturating_mul(width));
+            self.columns = (0..width)
+                .map(|_| Vec::with_capacity(self.config.window))
+                .collect();
+        }
+        let full = self.window_len() == self.config.window;
+        let oldest = self.head * width;
+        for (c, &v) in features.iter().enumerate() {
+            let entry = RankedValue::new(&self.sorted_reference[c], v);
+            let col = &mut self.columns[c];
+            let p = col.partition_point(|e| e.value < v);
+            if full {
+                // Replace the evicted value in place: one memmove of the
+                // entries between its slot and the new value's.
+                let evicted = self.ring[oldest + c];
+                let r = col.partition_point(|e| e.value < evicted);
+                debug_assert!(col[r].value == evicted, "window column tracks the ring");
+                if p <= r {
+                    col[p..=r].rotate_right(1);
+                    col[p] = entry;
+                } else {
+                    col[r..p].rotate_left(1);
+                    col[p - 1] = entry;
+                }
+            } else {
+                col.insert(p, entry);
+            }
+        }
+        if full {
+            self.ring[oldest..oldest + width].copy_from_slice(features);
+            self.head = (self.head + 1) % self.config.window;
         } else {
-            Vec::with_capacity(features.len())
-        };
-        slot.clear();
-        slot.extend_from_slice(features);
-        self.window.push_back(slot);
+            self.ring.extend_from_slice(features);
+        }
         self.samples_seen += 1;
         Ok(())
+    }
+
+    /// The window's rows, oldest first.
+    fn rows(&self) -> impl Iterator<Item = &[f64]> {
+        let width = self.reference.len();
+        let (newer, older) = self.ring.split_at(self.head * width);
+        older.chunks_exact(width).chain(newer.chunks_exact(width))
     }
 
     /// Whether the window holds enough samples to judge (at least half the
     /// configured length).
     pub fn is_warmed_up(&self) -> bool {
-        self.window.len() * 2 >= self.config.window
+        self.window_len() * 2 >= self.config.window
     }
 
     /// Aggregated dissimilarity in `[0, 1]`: the mean per-feature distance,
     /// squashed for unbounded measures. Returns 0 before any samples
     /// arrive.
     pub fn dissimilarity(&self) -> f64 {
-        if self.window.is_empty() {
+        if self.ring.is_empty() {
             return 0.0;
         }
         let mut acc = 0.0;
         for (c, ref_col) in self.reference.iter().enumerate() {
-            let col: Vec<f64> = self.window.iter().map(|row| row[c]).collect();
+            let col: Vec<f64> = self.rows().map(|row| row[c]).collect();
             let d = self.config.measure.compute(ref_col, &col);
             acc += self.squash(d);
         }
@@ -243,54 +307,26 @@ impl SafeMlMonitor {
     /// it — the fast-path equivalent of calling
     /// [`SafeMlMonitor::dissimilarity`] followed by
     /// [`SafeMlMonitor::verdict`], which walk the full window/reference
-    /// comparison twice. For the KS measure the reference columns are
-    /// additionally pre-sorted once (lazily) and reused across calls;
-    /// both results are bit-identical to the naive accessors.
-    pub fn assessment(&mut self) -> (f64, SafeMlVerdict) {
-        let d = self.dissimilarity_presorted();
-        let verdict = if d >= self.config.reject_threshold {
-            SafeMlVerdict::Reject
-        } else if d >= self.config.caution_threshold {
-            SafeMlVerdict::Caution
-        } else {
-            SafeMlVerdict::Accept
-        };
-        (d, verdict)
+    /// comparison twice. For the KS measure it reads the rank-indexed
+    /// window columns instead of sorting and merging; both results are
+    /// bit-identical to the naive accessors.
+    pub fn assessment(&self) -> (f64, SafeMlVerdict) {
+        let d = self.dissimilarity_ranked();
+        (d, self.classify(d))
     }
 
-    /// [`SafeMlMonitor::dissimilarity`] using the lazily-built pre-sorted
-    /// reference (KS only; other measures fall back to the naive path).
-    fn dissimilarity_presorted(&mut self) -> f64 {
-        if self.window.is_empty() {
+    /// [`SafeMlMonitor::dissimilarity`] over the rank-indexed window
+    /// columns (KS only; other measures fall back to the naive path).
+    fn dissimilarity_ranked(&self) -> f64 {
+        if self.ring.is_empty() {
             return 0.0;
         }
         if self.config.measure != DistanceMeasure::KolmogorovSmirnov {
             return self.dissimilarity();
         }
-        let sorted = self.sorted_reference.get_or_insert_with(|| {
-            self.reference
-                .iter()
-                .map(|col| {
-                    let mut v = col.clone();
-                    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-                    v
-                })
-                .collect()
-        });
         let mut acc = 0.0;
-        for (c, ref_col) in sorted.iter().enumerate() {
-            // Gather the window column into reusable scratch and run the
-            // streaming KS kernel: zero allocations per tick once warm,
-            // bit-identical to the collecting path.
-            self.col_scratch.clear();
-            self.col_scratch
-                .extend(self.window.iter().map(|row| row[c]));
-            let d = crate::distance::kolmogorov_smirnov_presorted_scratch(
-                ref_col,
-                &self.col_scratch,
-                &mut self.sort_scratch,
-            );
-            acc += d; // squash() is the identity for KS
+        for col in &self.columns {
+            acc += kolmogorov_smirnov_ranked(col); // squash() is the identity for KS
         }
         acc / self.reference.len() as f64
     }
@@ -302,7 +338,10 @@ impl SafeMlMonitor {
 
     /// The three-way verdict against the configured thresholds.
     pub fn verdict(&self) -> SafeMlVerdict {
-        let d = self.dissimilarity();
+        self.classify(self.dissimilarity())
+    }
+
+    fn classify(&self, d: f64) -> SafeMlVerdict {
         if d >= self.config.reject_threshold {
             SafeMlVerdict::Reject
         } else if d >= self.config.caution_threshold {
@@ -319,7 +358,7 @@ impl SafeMlMonitor {
 
     /// Current window occupancy.
     pub fn window_len(&self) -> usize {
-        self.window.len()
+        self.ring.len() / self.reference.len()
     }
 }
 
@@ -427,6 +466,49 @@ mod tests {
             SafeMlMonitor::new(vec![vec![1.0]], cfg).unwrap_err(),
             SafeMlError::BadThresholds
         );
+    }
+
+    #[test]
+    fn zero_window_is_rejected() {
+        let mut cfg = SafeMlConfig::default();
+        cfg.window = 0;
+        assert_eq!(
+            SafeMlMonitor::new(reference(), cfg).unwrap_err(),
+            SafeMlError::ZeroWindow
+        );
+    }
+
+    #[test]
+    fn non_finite_thresholds_are_rejected() {
+        for (caution, reject) in [
+            (f64::NAN, 0.9),
+            (0.5, f64::NAN),
+            (f64::NEG_INFINITY, 0.9),
+            (0.5, f64::INFINITY),
+        ] {
+            let mut cfg = SafeMlConfig::default();
+            cfg.caution_threshold = caution;
+            cfg.reject_threshold = reject;
+            assert_eq!(
+                SafeMlMonitor::new(reference(), cfg).unwrap_err(),
+                SafeMlError::NonFiniteThreshold,
+                "caution {caution}, reject {reject}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_positive_squash_scale_is_rejected() {
+        for scale in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = SafeMlConfig::default();
+            cfg.measure = DistanceMeasure::Wasserstein;
+            cfg.squash_scale = scale;
+            assert_eq!(
+                SafeMlMonitor::new(reference(), cfg).unwrap_err(),
+                SafeMlError::BadSquashScale,
+                "scale {scale}"
+            );
+        }
     }
 
     #[test]
