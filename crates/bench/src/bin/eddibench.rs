@@ -231,7 +231,7 @@ fn main() {
     let total = fast.cache_hits + fast.cache_misses;
     let evals_skipped_ratio = fast.cache_hits as f64 / total.max(1) as f64;
     // One tick = one round over all UAVs; the fast path's per-tick
-    // allocation count is the arena discipline's scorecard (the
+    // allocation count is the hot-loop memory discipline's scorecard (the
     // steady-state target is zero — pinned by the alloc_regression
     // test; the bench number includes the telemetry construction the
     // workload itself pays).

@@ -24,8 +24,8 @@
 //! `--jobs N` forces `ShardPolicy::Fixed { shards: N }`; the size
 //! sweep's default is one shard per 32 UAVs (see [`sweep_policy`] for
 //! why it deliberately sidesteps `ShardPolicy::Auto`'s core-count
-//! clamp). Whatever the partition, the sharded
-//! run must agree with the serial oracle — every pair of runs is
+//! clamp). Whatever the partition, the tick must be shard-count
+//! invariant against the one-shard plan — every pair of runs is
 //! compared on the wall-clock-free metrics projection, event count and
 //! PoF series bits before its numbers are reported, so the speedup is
 //! never measured against a fleet computing different answers.
@@ -58,10 +58,10 @@ const SMOKE_SIZES: [usize; 3] = [3, 50, 200];
 /// The size sweep's sharding policy: `--jobs N` forces `Fixed { N }`;
 /// otherwise one shard per 32 UAVs, *uncapped by the core count*.
 /// `ShardPolicy::Auto` clamps to `available_parallelism`, which on a
-/// single-core CI box resolves every size to serial — the sweep would
-/// then measure the serial path twice and report `shards: 1` for every
-/// row. Forcing the partition keeps the sharded runtime (worker pool,
-/// chunk merge, excision bookkeeping) in the measurement and makes the
+/// single-core CI box resolves every size to one shard — the sweep would
+/// then measure the one-shard plan twice and report `shards: 1` for every
+/// row. Forcing the partition keeps the worker pool and the fleet-window
+/// fan-outs in the measurement and makes the
 /// recorded shard count the one actually used.
 fn sweep_policy(jobs: Option<usize>, uavs: usize) -> ShardPolicy {
     match jobs {
@@ -189,15 +189,17 @@ fn recovery_bench(args: &BenchArgs) {
     let clean_sharded = run(uavs, policy, ticks);
     assert_eq!(
         clean_serial.digest, clean_sharded.digest,
-        "clean sharded run diverged from the serial oracle with supervision \
-         enabled — containment must be invisible on the fault-free path"
+        "clean sharded run broke shard-count invariance against the one-shard \
+         plan with supervision enabled — containment must be invisible on the \
+         fault-free path"
     );
     let faulted_serial = run_with_faults(uavs, ShardPolicy::Serial, ticks, &faults);
     let faulted_sharded = run_with_faults(uavs, policy, ticks, &faults);
     assert_eq!(
         faulted_serial.digest, faulted_sharded.digest,
-        "faulted sharded run diverged from the serial oracle — panic \
-         isolation must be plan-independent, refusing to report"
+        "faulted sharded run broke shard-count invariance against the \
+         one-shard plan — panic isolation must be plan-independent, refusing \
+         to report"
     );
     assert!(
         faulted_sharded.quarantines >= 1,
@@ -234,8 +236,9 @@ fn with_policy(spec: &FleetSpec, policy: ShardPolicy) -> FleetSpec {
 }
 
 /// The `--scenario FILE` workload: whole-platform throughput of the
-/// world/fleet/mission a `.sesame` file describes, sharded against the
-/// serial oracle with the same digest cross-check the size sweep uses.
+/// world/fleet/mission a `.sesame` file describes, checked for
+/// shard-count invariance against the one-shard plan with the same
+/// digest cross-check the size sweep uses.
 /// The scenario's *fault schedules* are not injected — this measures the
 /// platform the scenario configures, not the scripted incidents.
 fn scenario_bench(args: &BenchArgs, compiled: sesame_scenario_dsl::CompiledScenario) {
@@ -263,8 +266,8 @@ fn scenario_bench(args: &BenchArgs, compiled: sesame_scenario_dsl::CompiledScena
     assert_eq!(
         serial.digest,
         sharded.digest,
-        "sharded run of scenario \"{}\" diverged from the serial oracle — \
-         semantics bug, refusing to report",
+        "sharded run of scenario \"{}\" broke shard-count invariance against \
+         the one-shard plan — semantics bug, refusing to report",
         compiled.name()
     );
 
@@ -320,8 +323,8 @@ fn main() {
         let sharded = run(n, sweep_policy(args.jobs, n), ticks);
         assert_eq!(
             serial.digest, sharded.digest,
-            "sharded {n}-UAV run diverged from the serial oracle — \
-             semantics bug, refusing to report"
+            "sharded {n}-UAV run broke shard-count invariance against the \
+             one-shard plan — semantics bug, refusing to report"
         );
         let tps = ticks_per_sec(&sharded);
         let per_uav = tps * n as f64;

@@ -1,6 +1,6 @@
 //! Whole-platform tick benchmark: end-to-end `Platform::step` throughput
-//! of the shipping fast pipeline (incremental EDDI, arena-backed tick
-//! scratch, batched CTMC solves) against the naive reference runtimes
+//! of the shipping fast pipeline (incremental EDDI, reused tick scratch,
+//! cached CTMC solve profiles) against the naive reference runtimes
 //! (`eddi_fast_path: false`), across 3/50/200-UAV fleets.
 //!
 //! ```text

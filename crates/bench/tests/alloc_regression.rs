@@ -1,7 +1,7 @@
 //! Allocation-regression gate for the hot-loop memory discipline
 //! (DESIGN.md § "Hot-loop memory discipline").
 //!
-//! The tentpole claim of the arena/inline-storage work is that a quiet
+//! The tentpole claim of the scratch/inline-storage work is that a quiet
 //! steady-state tick of the per-UAV safety pipeline — EDDI evaluation
 //! (SafeDrones CTMC + FTA, SafeML, SINADRA, DeepKnowledge, attack tree)
 //! plus the ConSert decide — performs **zero heap allocations** once its

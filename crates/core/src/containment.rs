@@ -14,15 +14,15 @@
 //!   schedule / activate / expire lifecycle as the middleware's
 //!   `CommFaultPlane`, driven once per tick from `Platform::step`;
 //! * [`TickWatchdog`] — a logical (tick-count based, so determinism
-//!   holds) deadline monitor that demotes the sharded tick to the serial
-//!   reference path while a UAV keeps faulting or stalling;
+//!   holds) deadline monitor that demotes the tick to a one-shard plan
+//!   while a UAV keeps faulting or stalling;
 //! * [`QuarantineCell`] — the per-UAV bookkeeping of the
 //!   Quarantined state: entry fault, clean-probe streak and the bounded
 //!   exponential backoff of the revival probe.
 //!
 //! Everything here is plain data plus pure bookkeeping; the actual
-//! `catch_unwind` sites, excision from solve-class dedup / airspace /
-//! ConSert composition, and the revival probe's reference-engine ticks
+//! `catch_unwind` sites, excision from the EDDI tick / airspace scan /
+//! ConSert composition, and the revival probe's fresh-engine ticks
 //! live in `core::orchestrator`, where the state they guard lives.
 
 use sesame_types::ids::UavId;
@@ -33,32 +33,24 @@ pub use crate::shard::{panic_message, TaskPanic};
 
 /// Where in the per-UAV tick a fault was isolated.
 ///
-/// Injected faults ([`ComputeFaultKind::EddiPanic`]) and the input /
-/// output validation guards fire at the same point of the serial and the
-/// sharded tick, so their fault records are bit-identical across shard
-/// policies. The organic phases (`EddiBegin`/`EddiSolve`/`EddiFinish`
-/// vs. `EddiTick`) name where the respective execution plan actually
-/// caught an unexpected unwind.
+/// There is one tick implementation for every shard plan: the input
+/// guards run in its serial pre-pass, every organic EDDI panic is caught
+/// in its per-UAV fan-out, and the output guard runs in its serial merge.
+/// Every fault record — injected, validation or organic — is therefore
+/// bit-identical across shard policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPhase {
     /// A scheduled [`ComputeFaultKind::EddiPanic`] fired at the head of
-    /// the UAV's EDDI evaluation (identical on both execution plans).
+    /// the UAV's EDDI evaluation.
     Injected,
     /// Non-finite telemetry rejected by the input guard at the head of
-    /// the EDDI evaluation (identical on both execution plans).
+    /// the EDDI evaluation.
     Telemetry,
     /// The EDDI produced a non-finite probability-of-failure or
-    /// combined uncertainty (identical on both execution plans).
+    /// combined uncertainty.
     Output,
-    /// Organic panic inside the serial whole-tick EDDI evaluation.
+    /// Organic panic inside the UAV's EDDI tick.
     EddiTick,
-    /// Organic panic inside the sharded tick's `begin_tick` pre-pass.
-    EddiBegin,
-    /// Organic panic inside a batched solve-class Markov solve; faults
-    /// every UAV of the class (they share the solve bit-for-bit).
-    EddiSolve,
-    /// Organic panic inside the sharded tick's `finish_tick`.
-    EddiFinish,
     /// Organic panic inside the UAV's ConSert decision.
     ConsertDecide,
 }
@@ -71,9 +63,6 @@ impl FaultPhase {
             FaultPhase::Telemetry => "telemetry",
             FaultPhase::Output => "output",
             FaultPhase::EddiTick => "eddi_tick",
-            FaultPhase::EddiBegin => "eddi_begin",
-            FaultPhase::EddiSolve => "eddi_solve",
-            FaultPhase::EddiFinish => "eddi_finish",
             FaultPhase::ConsertDecide => "consert_decide",
         }
     }
@@ -130,7 +119,7 @@ pub enum ComputeFaultKind {
     },
     /// The UAV's solver blows its logical tick deadline. Execution-plane
     /// only: outputs are unchanged, but the [`TickWatchdog`] counts the
-    /// stall and eventually demotes the sharded tick to serial.
+    /// stall and eventually demotes the tick to a one-shard plan.
     SolverStall {
         /// Target fleet index.
         uav: usize,
@@ -319,8 +308,7 @@ impl ComputeFaultPlane {
 /// Logical tick-deadline watchdog: counts, per UAV, consecutive ticks in
 /// which the UAV faulted or its solver stalled, and trips once the
 /// streak reaches `trip_after`. The platform reacts to a trip by
-/// demoting the sharded tick to the serial reference path for a
-/// cooldown.
+/// demoting the tick to a one-shard plan for a cooldown.
 ///
 /// Strikes are per *UAV*, not per shard, so the trip schedule — and the
 /// `watchdog.trip` counter it drives — is identical under every

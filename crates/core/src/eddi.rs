@@ -20,10 +20,8 @@ use sesame_conserts::catalog::UavEvidence;
 use sesame_deepknowledge::nn::{Activation, Mlp};
 use sesame_deepknowledge::transfer::TransferAnalyzer;
 use sesame_deepknowledge::uncertainty::UncertaintyMonitor;
-use sesame_safedrones::monitor::{
-    ReliabilityEstimate, SafeDronesConfig, SafeDronesMonitor, MARKOV_SLOTS,
-};
-use sesame_safedrones::{ReliabilityLevel, SolveKey};
+use sesame_safedrones::monitor::{ReliabilityEstimate, SafeDronesConfig, SafeDronesMonitor};
+use sesame_safedrones::ReliabilityLevel;
 use sesame_safeml::monitor::{SafeMlConfig, SafeMlMonitor, SafeMlVerdict};
 use sesame_security::spoof::{SpoofDetector, SpoofVerdict};
 use sesame_sinadra::risk::{RiskAssessment, SarRiskModel, SituationInputs};
@@ -63,28 +61,6 @@ pub struct EddiOutputs {
     pub risk: RiskAssessment,
     /// Spoofing verdict on the current GPS fix.
     pub spoof: SpoofVerdict,
-}
-
-/// The intermediate state of a split EDDI tick (see
-/// [`UavEddiRuntime::begin_tick`]): the telemetry time step and, when the
-/// step is positive, the solve identities of the pending SafeDrones
-/// Markov advance.
-#[derive(Debug, Clone)]
-pub struct TickPlan {
-    dt: SimDuration,
-    keys: Option<[SolveKey; MARKOV_SLOTS]>,
-}
-
-impl TickPlan {
-    /// The telemetry time step of this tick.
-    pub fn dt(&self) -> SimDuration {
-        self.dt
-    }
-
-    /// The per-slot solve keys, `None` when `dt == 0` (no advance runs).
-    pub fn solve_keys(&self) -> Option<&[SolveKey; MARKOV_SLOTS]> {
-        self.keys.as_ref()
-    }
 }
 
 /// The per-UAV runtime. See the crate docs for the integration loop.
@@ -159,55 +135,18 @@ impl UavEddiRuntime {
         self.safedrones.set_remaining_mission(remaining);
     }
 
-    /// One runtime tick: ingest telemetry, sample one camera frame under
-    /// `scene`, run every monitor.
-    ///
-    /// Exactly [`UavEddiRuntime::begin_tick`] followed by
-    /// [`UavEddiRuntime::finish_tick`] with no primed solves — the split
-    /// and the monolith are the same computation.
+    /// One runtime tick: ingest telemetry, advance the SafeDrones beliefs
+    /// by the telemetry time step, sample one camera frame under `scene`,
+    /// run every monitor.
     pub fn tick(&mut self, telemetry: &UavTelemetry, scene: &SceneCondition) -> EddiOutputs {
-        let plan = self.begin_tick(telemetry);
-        self.finish_tick(telemetry, scene, plan, [None; MARKOV_SLOTS])
-    }
-
-    /// First half of a split tick: computes the telemetry time step,
-    /// ingests the snapshot into SafeDrones (rate updates), and derives
-    /// the solve identities of the pending Markov advance. A fleet
-    /// scheduler batches the keys across UAVs, solves each distinct key
-    /// once, and completes every runtime with
-    /// [`UavEddiRuntime::finish_tick`].
-    pub fn begin_tick(&mut self, telemetry: &UavTelemetry) -> TickPlan {
         let dt = match self.last_time {
             Some(prev) => telemetry.time.since(prev),
             None => SimDuration::ZERO,
         };
         self.last_time = Some(telemetry.time);
         self.safedrones.ingest(telemetry);
-        let keys = (dt > SimDuration::ZERO).then(|| self.safedrones.solve_keys(dt));
-        TickPlan { dt, keys }
-    }
-
-    /// The distribution the given Markov slot would adopt for the pending
-    /// advance of step `dt` (see
-    /// [`SafeDronesMonitor::solve_dist`]). Pure; used on one
-    /// representative runtime per distinct solve key.
-    pub fn solve_dist(&self, slot: usize, dt: SimDuration) -> Vec<f64> {
-        self.safedrones.solve_dist(slot, dt)
-    }
-
-    /// Second half of a split tick: advances SafeDrones (adopting any
-    /// primed per-slot distributions) and runs the perception, risk and
-    /// security monitors. With `primes = [None; MARKOV_SLOTS]` this is
-    /// bit-identical to the tail of [`UavEddiRuntime::tick`].
-    pub fn finish_tick(
-        &mut self,
-        telemetry: &UavTelemetry,
-        scene: &SceneCondition,
-        plan: TickPlan,
-        primes: [Option<&[f64]>; MARKOV_SLOTS],
-    ) -> EddiOutputs {
-        if plan.dt > SimDuration::ZERO {
-            self.safedrones.advance_primed(plan.dt, primes);
+        if dt > SimDuration::ZERO {
+            self.safedrones.advance(dt);
         }
         let reliability = self.safedrones.estimate();
 
@@ -392,54 +331,6 @@ mod tests {
         }
         let u = out.unwrap().combined_uncertainty;
         assert!((0.55..0.9).contains(&u), "post-descent uncertainty {u}");
-    }
-
-    /// The split tick (begin → cross-runtime solve → finish with primes)
-    /// tracks the monolithic tick bit for bit, including cache counters.
-    #[test]
-    fn split_tick_with_priming_matches_monolithic_tick() {
-        let mut mono = runtime();
-        let mut split = runtime();
-        let scene = SceneCondition {
-            altitude_m: 30.0,
-            visibility: 0.9,
-        };
-        for t in 0..50u64 {
-            let mut tel = telemetry(t, 30.0);
-            if t >= 25 {
-                tel.battery_soc = 0.4;
-                tel.battery_temp_c = 60.0;
-            }
-            let a = mono.tick(&tel, &scene);
-            let plan = split.begin_tick(&tel);
-            let primes: Vec<Option<Vec<f64>>> = match plan.solve_keys() {
-                // Solve on the *monolithic* runtime's twin state is not
-                // available pre-advance, so solve on the split runtime
-                // itself — exactly what a fleet scheduler does on the
-                // class representative.
-                Some(_) => (0..MARKOV_SLOTS)
-                    .map(|s| Some(split.solve_dist(s, plan.dt())))
-                    .collect(),
-                None => vec![None; MARKOV_SLOTS],
-            };
-            let prime_refs = [
-                primes[0].as_deref(),
-                primes[1].as_deref(),
-                primes[2].as_deref(),
-            ];
-            let b = split.finish_tick(&tel, &scene, plan, prime_refs);
-            assert_eq!(
-                a.reliability.pof.to_bits(),
-                b.reliability.pof.to_bits(),
-                "pof diverged at t={t}"
-            );
-            assert_eq!(
-                a.combined_uncertainty.to_bits(),
-                b.combined_uncertainty.to_bits()
-            );
-            assert_eq!(a.spoof.spoofed, b.spoof.spoofed);
-        }
-        assert_eq!(mono.cache_stats(), split.cache_stats());
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! hundreds. [`FleetSpec`] describes a fleet as an ordered list of
 //! [`FleetGroup`]s — each a run of UAVs sharing one [`UavProfile`] — plus
 //! a [`ShardPolicy`] that partitions the per-UAV tick work across worker
-//! threads. UAVs in a group share airframe parameters and therefore
-//! (initially) identical Markov rate matrices, which the fleet-wide
-//! batched EDDI solve exploits: one CTMC solve per distinct
-//! [`sesame_safedrones::SolveKey`] serves every UAV in the class.
+//! threads.
 //!
-//! Sharding never changes results. Every partition — including
-//! [`ShardPolicy::Serial`] — produces bit-identical series, events,
-//! decisions and (wall-clock-free) metrics; the policy only chooses how
-//! much of the tick runs concurrently.
+//! Sharding never changes results. There is one tick implementation,
+//! and the policy only chooses how many contiguous fleet windows its
+//! per-UAV fan-outs (EDDI tick, proximity scan, ConSert decision) run
+//! over; [`ShardPolicy::Serial`] is simply the one-window plan. Every
+//! partition produces bit-identical series, events, decisions and
+//! (wall-clock-free) metrics.
 //!
 //! # Examples
 //!
@@ -96,10 +95,10 @@ pub struct FleetGroup {
 ///
 /// Outputs are invariant under the policy: the shard executor merges
 /// per-shard results in fleet order, so any shard count — on any core
-/// count — reproduces the serial run bit for bit.
+/// count — reproduces the one-shard run bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
-    /// Everything on the caller's thread (the reference path).
+    /// One shard: everything on the caller's thread.
     Serial,
     /// Exactly `shards` shards. More shards than UAVs leaves the excess
     /// empty; `0` is clamped to `1`.

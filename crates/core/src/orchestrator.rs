@@ -17,7 +17,7 @@
 use crate::containment::{
     panic_message, ComputeFaultPlane, FaultPhase, QuarantineCell, TickWatchdog, UavFault,
 };
-use crate::eddi::{EddiCacheStats, EddiOutputs, TickPlan, UavEddiRuntime};
+use crate::eddi::{EddiCacheStats, EddiOutputs, UavEddiRuntime};
 use crate::fleet::{shard_ranges, FleetSpec, ResolvedUavProfile};
 use crate::platform::database::DatabaseManager;
 use crate::platform::gcs::{GroundControlStation, StatusSnapshot, UavStatusLine};
@@ -40,20 +40,16 @@ use sesame_middleware::chaos::CommFaultPlane;
 use sesame_middleware::message::{Message, Payload};
 use sesame_obs::span::phase;
 use sesame_obs::{MetricsRegistry, MetricsSnapshot, TickSpan, TraceEvent, TraceLog};
-use sesame_safedrones::markov::{BatchSolveScratch, ProfileKey};
 use sesame_safedrones::monitor::SafeDronesConfig;
 use sesame_safedrones::monitor::SafeDronesMonitor;
-use sesame_safedrones::{SolveKey, MARKOV_SLOTS};
 use sesame_sar::accuracy::{AltitudeDecision, AltitudePolicy};
 use sesame_security::catalog as attack_catalog;
 use sesame_security::eddi::SecurityEddi;
 use sesame_security::ids::{Ids, IdsConfig};
 use sesame_sinadra::risk::{SeparationInputs, SeparationRiskModel};
-use sesame_types::arena::ScratchArena;
 use sesame_types::events::{EventLog, Severity, SystemEvent};
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
-use sesame_types::inline::InlineVec;
 use sesame_types::telemetry::{FlightMode, UavTelemetry};
 use sesame_types::time::{SimDuration, SimTime};
 use sesame_uav_sim::autopilot::FlightCommand;
@@ -276,12 +272,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets a uniform fleet of `n` default-profile UAVs.
-    #[deprecated(since = "0.3.0", note = "use fleet(FleetSpec::uniform(n))")]
-    pub fn uav_count(self, n: usize) -> Self {
-        self.fleet(FleetSpec::uniform(n))
-    }
-
     /// Sets the initial scan altitude in metres.
     pub fn scan_altitude_m(mut self, alt: f64) -> Self {
         self.config.scan_altitude_m = alt;
@@ -400,30 +390,6 @@ impl EddiEngine {
         }
     }
 
-    // The split tick (ingest → batched cross-UAV solve → finish) only
-    // exists on the fast path; the shard plan in `Platform::new` never
-    // selects sharded execution for reference engines.
-
-    fn begin_tick(&mut self, telemetry: &UavTelemetry) -> TickPlan {
-        match self {
-            EddiEngine::Fast(rt) => rt.begin_tick(telemetry),
-            EddiEngine::Reference(_) => unreachable!("sharded ticks require the fast path"),
-        }
-    }
-
-    fn finish_tick(
-        &mut self,
-        telemetry: &UavTelemetry,
-        scene: &SceneCondition,
-        plan: TickPlan,
-        primes: [Option<&[f64]>; MARKOV_SLOTS],
-    ) -> EddiOutputs {
-        match self {
-            EddiEngine::Fast(rt) => rt.finish_tick(telemetry, scene, plan, primes),
-            EddiEngine::Reference(_) => unreachable!("sharded ticks require the fast path"),
-        }
-    }
-
     fn last_outputs(&self) -> Option<&EddiOutputs> {
         match self {
             EddiEngine::Fast(rt) => rt.last_outputs(),
@@ -494,10 +460,6 @@ impl ConsertRuntime {
         }
     }
 }
-
-/// One shard's finish-tick work item: fleet-index offset of the shard,
-/// its disjoint `&mut` window of the fleet, and the per-UAV tick plans.
-type ShardWork<'a> = (usize, &'a mut [UavRt], Vec<Option<TickPlan>>);
 
 struct UavRt {
     handle: UavHandle,
@@ -611,39 +573,62 @@ impl SeriesView<'_> {
 struct TickScratch {
     /// This tick's fleet telemetry snapshot.
     telemetries: Vec<UavTelemetry>,
-    /// Serial path: detection events buffered by the pre-pass.
+    /// Detection events buffered by the pre-pass until the merge, in
+    /// fleet order (each UAV's count is in its [`UavSlot`]).
     det_events: Vec<SystemEvent>,
-    /// Sharded path: per-UAV detection-event buffers.
-    det_events_per_uav: Vec<Vec<SystemEvent>>,
-    /// Sharded classify: per-UAV, per-slot solve-class membership.
-    class_of: Vec<[Option<usize>; MARKOV_SLOTS]>,
-    /// Sharded classify: one `(representative, slot, dt)` per class.
-    classes: Vec<(usize, usize, SimDuration)>,
-    /// Sharded classify: solve-class lookup by exact solve identity.
-    class_index: HashMap<(usize, SolveKey), usize>,
-    /// Sharded solve: batch-group lookup by `(slot, ProfileKey)`.
-    group_index: HashMap<(usize, ProfileKey), usize>,
-    /// Sharded solve: member classes of each batch group. Groups are
-    /// tiny (distinct current distributions within one profile), so the
-    /// member lists live inline.
-    group_members: Vec<InlineVec<usize, 8>>,
-    /// Sharded solve: the `(slot, dt)` shared by each batch group.
-    group_meta: Vec<(usize, SimDuration)>,
-    /// Sharded solve: per-class result — a `(start, len)` span into the
-    /// arena-leased `solved` buffer, or the panic message that excises
-    /// the class's members.
-    class_span: Vec<Result<(usize, usize), String>>,
-    /// Batched-uniformization working buffers.
-    batch: BatchSolveScratch,
-    /// Bump-style pool for the per-tick f64 buffers (`solved`,
-    /// `batch_out`) leased inside the sharded solve.
-    arena: ScratchArena,
-    /// Airspace passes: quarantine excision mask.
+    /// Per-UAV results of the shard fan-outs (see [`UavSlot`]).
+    slots: Vec<UavSlot>,
+    /// Airspace pass: quarantine excision mask.
     quarantined: Vec<bool>,
-    /// ConSert passes: this tick's per-UAV actions.
+    /// ConSert pass: this tick's per-UAV actions.
     actions: Vec<UavAction>,
-    /// Sharded ConSert pass: supervision fallback mask.
-    fallback: Vec<bool>,
+}
+
+/// One UAV's results from this tick's shard fan-outs: written by the
+/// shard that owns the UAV, taken by the serial merge that follows.
+#[derive(Debug, Default)]
+struct UavSlot {
+    /// Detection events the UAV's pre-pass buffered this tick.
+    detections: usize,
+    /// Whether the pre-pass admitted the UAV to this tick's EDDI fan-out.
+    admitted: bool,
+    /// EDDI fan-out: the tick's outputs, or the message of the panic it
+    /// raised.
+    eddi: Option<Result<EddiOutputs, String>>,
+    /// Airspace fan-out: range to the nearest airborne teammate and
+    /// whether the two are closing.
+    proximity: Option<(f64, bool)>,
+    /// ConSert fan-out: the decided action, `None` when no decision ran.
+    action: Option<UavAction>,
+}
+
+/// Runs `f(i, uav, slot)` once for every fleet index `i` over the shard
+/// plan. A one-shard plan calls `f` in fleet order on the caller's thread
+/// and allocates nothing; a multi-shard plan hands each disjoint window
+/// of the fleet to the shard pool. `f` reaches only its own UAV and slot
+/// (plus shared read-only inputs), so every plan fills the same slots.
+fn fan_out<F>(shards: &[Range<usize>], uavs: &mut [UavRt], slots: &mut [UavSlot], f: F)
+where
+    F: Fn(usize, &mut UavRt, &mut UavSlot) + Sync,
+{
+    let run = |start: usize, uavs: &mut [UavRt], slots: &mut [UavSlot]| {
+        for (k, (rt, slot)) in uavs.iter_mut().zip(slots).enumerate() {
+            f(start + k, rt, slot);
+        }
+    };
+    if shards.len() <= 1 {
+        run(0, uavs, slots);
+        return;
+    }
+    let (mut uavs, mut slots) = (uavs, slots);
+    let mut windows = Vec::with_capacity(shards.len());
+    for r in shards {
+        let (u, u_rest) = std::mem::take(&mut uavs).split_at_mut(r.len());
+        let (s, s_rest) = std::mem::take(&mut slots).split_at_mut(r.len());
+        windows.push((r.start, u, s));
+        (uavs, slots) = (u_rest, s_rest);
+    }
+    crate::shard::run_tasks(shards.len(), windows, |_, (start, u, s)| run(*start, u, s));
 }
 
 /// The platform. Construct with [`Platform::new`], drive with
@@ -689,17 +674,16 @@ pub struct Platform {
     /// order) by the containment step after supervision.
     pending_faults: Vec<UavFault>,
     watchdog: TickWatchdog,
-    /// `Some(tick)` while the watchdog holds the sharded tick demoted to
-    /// the serial reference path; restored to `base_shards` at `tick`.
+    /// `Some(tick)` while the watchdog holds the tick demoted to a
+    /// one-shard plan; restored to `base_shards` at `tick`.
     demoted_until_tick: Option<u64>,
     // BTreeMap, not HashMap: retries are re-published in iteration order,
     // and bus/RNG state must not depend on hash randomization.
     pending_cmds: BTreeMap<(String, u64), PendingCommand>,
     next_heartbeat_at: SimTime,
-    /// Contiguous fleet partition for the sharded tick; a single range
-    /// selects the serial path. Resolved once in [`Platform::new`] from
-    /// the fleet's shard policy (sharding requires the fast-path EDDI's
-    /// split tick, so reference engines always run serial).
+    /// Contiguous fleet partition the tick's fan-outs run over; a single
+    /// range runs them on the caller's thread. Resolved once in
+    /// [`Platform::new`] from the fleet's shard policy.
     shards: Vec<Range<usize>>,
     /// The shard plan as resolved at construction — what `shards` is
     /// restored to when a watchdog demotion cools down.
@@ -849,15 +833,7 @@ impl Platform {
             .collect();
         let separation_hot = vec![false; n];
         let supervisors = (0..n).map(|_| UavSupervisor::new()).collect();
-        // Sharding needs the fast path's split tick (begin → batched
-        // solve → finish); any other configuration runs the serial
-        // oracle. Either way the outputs are bit-identical.
-        let shard_count = if config.sesame_enabled && config.eddi_fast_path {
-            config.fleet.shard_policy().shard_count(n)
-        } else {
-            1
-        };
-        let shards = shard_ranges(n, shard_count);
+        let shards = shard_ranges(n, config.fleet.shard_policy().shard_count(n));
         let watchdog = TickWatchdog::new(n, config.supervision.watchdog_trip_after);
         let eddi_eval_keys = (0..n).map(|i| format!("eddi.evals.uav{i}")).collect();
         let supervision_state_keys = (0..n)
@@ -908,7 +884,12 @@ impl Platform {
             next_heartbeat_at: SimTime::ZERO,
             base_shards: shards.clone(),
             shards,
-            scratch: TickScratch::default(),
+            // The fleet size is fixed, so the per-UAV slots are sized once
+            // here rather than on the first tick.
+            scratch: TickScratch {
+                slots: std::iter::repeat_with(UavSlot::default).take(n).collect(),
+                ..TickScratch::default()
+            },
             eddi_eval_keys,
             supervision_state_keys,
             uav_names,
@@ -922,9 +903,8 @@ impl Platform {
     }
 
     /// A fresh EDDI engine for UAV `i`, seeded exactly as construction
-    /// seeds it. The engine kind follows the configured path: a released
-    /// UAV must rejoin the execution plan it left, and only the fast
-    /// engine supports the sharded split tick.
+    /// seeds it. The engine kind follows the configured path, so a
+    /// released UAV rejoins with the engine kind it left.
     fn fresh_eddi_engine(&self, i: usize) -> EddiEngine {
         let seed = self.config.seed ^ ((i as u64 + 1) << 16);
         if self.config.eddi_fast_path {
@@ -1228,25 +1208,11 @@ impl Platform {
                 self.metrics.inc("uav.fault.telemetry_corrupted");
             }
         }
-        // A multi-shard plan runs the data-parallel tick (serial
-        // pre-pass, fleet-wide batched Markov solve, per-shard finish,
-        // serial merge); a single shard runs the serial oracle. Both are
-        // bit-identical — the fleet_sharding conformance suite holds
-        // them together.
-        let sharded = self.shards.len() > 1;
-        if sharded {
-            self.step_uavs_sharded(&telemetries, now, second_boundary, visibility, &mut span);
-        } else {
-            self.step_uavs_serial(&telemetries, now, second_boundary, visibility, &mut span);
-        }
+        self.step_uavs(&telemetries, now, second_boundary, visibility, &mut span);
 
         // ---- Airspace monitors: geofence and separation risk ----
         span.enter(phase::AIRSPACE);
-        if sharded {
-            self.step_airspace_sharded(&telemetries, now);
-        } else {
-            self.step_airspace_serial(&telemetries, now);
-        }
+        self.step_airspace(&telemetries, now);
 
         // ---- Bus delivery, IDS, command application ----
         span.enter(phase::BUS_STEP);
@@ -1406,11 +1372,7 @@ impl Platform {
         // ---- Decisions ----
         if self.config.sesame_enabled {
             span.enter(phase::CONSERT_COMPOSE);
-            if sharded {
-                self.step_conserts_sharded(&telemetries, now, &mut span);
-            } else {
-                self.step_conserts(&telemetries, now, &mut span);
-            }
+            self.step_conserts(&telemetries, now, &mut span);
         } else {
             span.enter(phase::DECIDE);
             self.step_baseline(&telemetries, now);
@@ -1527,11 +1489,11 @@ impl Platform {
     /// Everything one UAV's tick does *before* the EDDI evaluation:
     /// telemetry publish, database append, battery report, route upload,
     /// coverage progress, person detection and availability accounting.
-    /// Called in fleet order on both paths, so the bus sequence (and
-    /// with it the loss-RNG stream), the coverage state and the detector
-    /// RNGs evolve identically. Person-detection events are buffered
-    /// into `det_events` instead of pushed, letting the sharded path
-    /// emit them at the exact log position the serial path uses.
+    /// Called serially in fleet order, so the bus sequence (and with it
+    /// the loss-RNG stream), the coverage state and the detector RNGs
+    /// evolve identically on every shard plan. Person-detection events
+    /// are buffered into `det_events` and pushed by the merge, ahead of
+    /// the UAV's EDDI-driven events.
     fn uav_pre_pass(
         &mut self,
         i: usize,
@@ -1603,9 +1565,9 @@ impl Platform {
 
     /// The serial tail of one UAV's EDDI evaluation: spoofing-alert
     /// fan-out, the per-second PoF/uncertainty series of UAV 1 and the
-    /// §V-B altitude adaptation. Runs on the caller's thread in fleet
-    /// order on both paths (the adaptation reads *and writes* the shared
-    /// scan altitude, so its cross-UAV sequencing is load-bearing).
+    /// §V-B altitude adaptation. Runs in the serial merge, in fleet order
+    /// (the adaptation reads *and writes* the shared scan altitude, so its
+    /// cross-UAV sequencing is load-bearing).
     fn apply_eddi_outputs(
         &mut self,
         i: usize,
@@ -1698,11 +1660,9 @@ impl Platform {
         }
     }
 
-    /// The guard at the head of one UAV's EDDI evaluation, run at the
-    /// same position by both execution plans so the fault record — and
-    /// everything downstream of it — is bit-identical across shard
-    /// policies. Checks, in order: an armed scheduled panic (which is
-    /// genuinely raised and caught, exercising the unwind path), then
+    /// The guard at the head of one UAV's EDDI evaluation, run in the
+    /// serial pre-pass. Checks, in order: an armed scheduled panic (which
+    /// is genuinely raised and caught, exercising the unwind path), then
     /// non-finite telemetry that must not reach the solver.
     fn eval_guard(&self, i: usize, tel: &UavTelemetry, now: SimTime) -> Option<UavFault> {
         let id = tel.uav;
@@ -1739,8 +1699,8 @@ impl Platform {
 
     /// The guard on one UAV's EDDI outputs: a non-finite
     /// probability-of-failure or combined uncertainty must not feed the
-    /// series, the altitude policy or the ConSert evidence. Run at the
-    /// merge position on both execution plans.
+    /// series, the altitude policy or the ConSert evidence. Run in the
+    /// serial merge.
     fn output_guard(i: usize, id: UavId, out: &EddiOutputs, now: SimTime) -> Option<UavFault> {
         for (name, v) in [
             ("pof", out.reliability.pof),
@@ -1759,9 +1719,19 @@ impl Platform {
         None
     }
 
-    /// The serial per-UAV tick — the oracle every shard plan must
-    /// reproduce bit for bit.
-    fn step_uavs_serial(
+    /// The per-UAV tick, in three steps over the shard plan:
+    ///
+    /// 1. **Pre-pass** (serial, fleet order): [`Self::uav_pre_pass`], then
+    ///    EDDI admission — [`Self::eval_guard`], the `eddi.evals.uav{i}`
+    ///    counter and the remaining-mission horizon, which reads the task
+    ///    state the pre-passes so far have left.
+    /// 2. **Fan-out** (per shard): each admitted UAV's whole EDDI tick,
+    ///    caught per UAV. An engine reads only its own state, its
+    ///    telemetry and the scene.
+    /// 3. **Merge** (serial, fleet order): buffered detection events, the
+    ///    output guard, [`Self::apply_eddi_outputs`] and trajectory
+    ///    sampling.
+    fn step_uavs(
         &mut self,
         telemetries: &[UavTelemetry],
         now: SimTime,
@@ -1771,486 +1741,126 @@ impl Platform {
     ) {
         let n = self.uavs.len();
         let mut det_events = std::mem::take(&mut self.scratch.det_events);
+        let mut slots = std::mem::take(&mut self.scratch.slots);
+        slots.resize_with(n, UavSlot::default);
         for i in 0..n {
-            // `telemetries` is the tick's local snapshot, not a `self`
-            // field, so borrowing it alongside `&mut self` is fine — no
-            // per-UAV clone needed.
             let tel = &telemetries[i];
-            let id = tel.uav;
+            let buffered = det_events.len();
             self.uav_pre_pass(i, tel, now, visibility, &mut det_events);
-            for ev in det_events.drain(..) {
-                self.events.push(now, ev);
-            }
-
+            slots[i].detections = det_events.len() - buffered;
             // EDDI tick (SESAME only; a quarantined UAV's engine is
             // frozen — the revival probe, not the tick, exercises it).
-            if self.uavs[i].eddi.is_some() && self.uavs[i].quarantine.is_none() {
-                span.enter(phase::EDDI_EVAL);
-                if let Some(fault) = self.eval_guard(i, tel, now) {
-                    self.pending_faults.push(fault);
-                } else {
-                    self.metrics.inc(&self.eddi_eval_keys[i]);
-                    let scene = SceneCondition {
-                        altitude_m: tel.true_position.alt_m,
-                        visibility,
-                    };
-                    let remaining = self.estimated_remaining_mission(id);
-                    // Invariant: `eddi.is_some()` holds — checked by the
-                    // enclosing condition.
-                    let eddi = self.uavs[i].eddi.as_mut().expect("checked above");
-                    eddi.set_remaining_mission(remaining);
-                    // Unwind safety: on a panic the engine's internal
-                    // state is suspect, so the containment layer
-                    // quarantines the UAV and never ticks this engine
-                    // again (a release promotes a fresh probe engine).
-                    match crate::shard::quiet_catch_unwind(|| eddi.tick(tel, &scene)) {
-                        Ok(out) => {
-                            if let Some(fault) = Self::output_guard(i, id, &out, now) {
-                                self.pending_faults.push(fault);
-                            } else {
-                                self.uavs[i].last_good_outputs = Some(out.clone());
-                                self.apply_eddi_outputs(i, tel, &out, now, second_boundary);
-                            }
-                        }
-                        Err(payload) => self.pending_faults.push(UavFault {
-                            uav: i,
-                            id,
-                            at: now,
-                            phase: FaultPhase::EddiTick,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    }
-                }
+            slots[i].admitted = false;
+            if self.uavs[i].eddi.is_none() || self.uavs[i].quarantine.is_some() {
+                continue;
             }
-            span.enter(phase::SENSE_PUBLISH);
-
-            // Trajectory sampling.
-            if second_boundary {
-                self.trajectories[i].push((now.as_secs_f64(), tel.true_position));
+            if let Some(fault) = self.eval_guard(i, tel, now) {
+                self.pending_faults.push(fault);
+                continue;
             }
-        }
-        self.scratch.det_events = det_events;
-    }
-
-    /// The sharded per-UAV tick. Five sub-phases:
-    ///
-    /// 1. **Pre-pass** (serial, fleet order): [`Self::uav_pre_pass`]
-    ///    plus the EDDI ingest ([`UavEddiRuntime::begin_tick`]), which
-    ///    fixes each UAV's Markov solve keys for this tick.
-    /// 2. **Classify** (serial): group the fleet's `3 n` pending CTMC
-    ///    solves into classes of identical [`SolveKey`]s, in fleet
-    ///    order. UAVs sharing a profile share rate matrices, so a
-    ///    500-UAV fleet typically needs a handful of distinct solves.
-    /// 3. **Batched solve** (parallel): one pure uniformization solve
-    ///    per class.
-    /// 4. **Finish** (parallel over disjoint shard slices):
-    ///    [`UavEddiRuntime::finish_tick`] adopts the primed
-    ///    distributions and runs SafeML / DeepKnowledge / SINADRA / the
-    ///    spoof gate — all per-UAV state.
-    /// 5. **Merge** (serial, fleet order): buffered detection events,
-    ///    spoof alerts, series samples and the altitude adaptation are
-    ///    applied in exactly the serial order.
-    fn step_uavs_sharded(
-        &mut self,
-        telemetries: &[UavTelemetry],
-        now: SimTime,
-        second_boundary: bool,
-        visibility: f64,
-        span: &mut TickSpan,
-    ) {
-        let n = self.uavs.len();
-        // The tick scratch is taken wholesale for the duration of the
-        // pass: every container below is warm from the previous tick.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut det_events = std::mem::take(&mut scratch.det_events_per_uav);
-        det_events.resize_with(n, Vec::new);
-        let mut plans: Vec<Option<TickPlan>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let tel = &telemetries[i];
-            self.uav_pre_pass(i, tel, now, visibility, &mut det_events[i]);
-            // Same gating and guard as the serial oracle, at the same
-            // position — so injected and guard faults are bit-identical
-            // across shard policies.
-            let plan = if self.uavs[i].eddi.is_some() && self.uavs[i].quarantine.is_none() {
-                if let Some(fault) = self.eval_guard(i, tel, now) {
-                    self.pending_faults.push(fault);
-                    None
-                } else {
-                    self.metrics.inc(&self.eddi_eval_keys[i]);
-                    let remaining = self.estimated_remaining_mission(tel.uav);
-                    // Invariant: `eddi.is_some()` holds — checked by the
-                    // enclosing condition.
-                    let eddi = self.uavs[i].eddi.as_mut().expect("checked above");
-                    eddi.set_remaining_mission(remaining);
-                    // Unwind safety: a panicking engine is quarantined
-                    // and never ticked again (see the serial path).
-                    match crate::shard::quiet_catch_unwind(|| eddi.begin_tick(tel)) {
-                        Ok(plan) => Some(plan),
-                        Err(payload) => {
-                            self.pending_faults.push(UavFault {
-                                uav: i,
-                                id: tel.uav,
-                                at: now,
-                                phase: FaultPhase::EddiBegin,
-                                message: panic_message(payload.as_ref()),
-                            });
-                            None
-                        }
-                    }
-                }
-            } else {
-                None
-            };
-            plans.push(plan);
+            self.metrics.inc(&self.eddi_eval_keys[i]);
+            let remaining = self.estimated_remaining_mission(tel.uav);
+            if let Some(eddi) = self.uavs[i].eddi.as_mut() {
+                eddi.set_remaining_mission(remaining);
+                slots[i].admitted = true;
+            }
         }
 
         span.enter(phase::EDDI_EVAL);
-        let mut class_of = std::mem::take(&mut scratch.class_of);
-        class_of.clear();
-        class_of.resize(n, [None; MARKOV_SLOTS]);
-        let mut classes = std::mem::take(&mut scratch.classes);
-        classes.clear();
-        let mut class_index = std::mem::take(&mut scratch.class_index);
-        class_index.clear();
-        for i in 0..n {
-            let Some(plan) = &plans[i] else { continue };
-            let Some(keys) = plan.solve_keys() else {
-                continue;
+        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, rt, slot| {
+            let Some(eddi) = rt.eddi.as_mut().filter(|_| slot.admitted) else {
+                return;
             };
-            for slot in 0..MARKOV_SLOTS {
-                let cid = *class_index
-                    .entry((slot, keys[slot].clone()))
-                    .or_insert_with(|| {
-                        classes.push((i, slot, plan.dt()));
-                        classes.len() - 1
-                    });
-                class_of[i][slot] = Some(cid);
-            }
-        }
+            let tel = &telemetries[i];
+            let scene = SceneCondition {
+                altitude_m: tel.true_position.alt_m,
+                visibility,
+            };
+            // Unwind safety: on a panic the engine's internal state is
+            // suspect, so the containment layer quarantines the UAV and
+            // never ticks this engine again (a release promotes a fresh
+            // probe engine).
+            let out = crate::shard::quiet_catch_unwind(|| eddi.tick(tel, &scene));
+            slot.eddi = Some(out.map_err(|payload| panic_message(payload.as_ref())));
+        });
 
-        // Group the classes by batching identity: classes whose
-        // representatives share a (slot, [`ProfileKey`]) differ only in
-        // their current distribution, so one SoA uniformization pass
-        // ([`CtmcProcess::solve_dists_batch`]) advances all of them with
-        // bit-identical results — the Poisson weights depend only on the
-        // rates and dt. Groups are solved serially: a fleet has a
-        // handful of profiles, and the vectorization lives *inside* the
-        // batch kernel, not across groups.
-        let mut group_index = std::mem::take(&mut scratch.group_index);
-        group_index.clear();
-        let mut group_members = std::mem::take(&mut scratch.group_members);
-        group_members.clear();
-        let mut group_meta = std::mem::take(&mut scratch.group_meta);
-        group_meta.clear();
-        for (cid, &(rep, slot, dt)) in classes.iter().enumerate() {
-            let key = self.uavs[rep]
-                .eddi
-                .as_ref()
-                .expect("class representative has an EDDI")
-                .safedrones()
-                .markov_process(slot)
-                .profile_key(dt.as_secs_f64());
-            let gid = *group_index.entry((slot, key)).or_insert_with(|| {
-                group_members.push(InlineVec::new());
-                group_meta.push((slot, dt));
-                group_members.len() - 1
-            });
-            group_members[gid].push(cid);
-        }
-
-        // One batched pure solve per group, results packed into the
-        // arena-leased `solved` buffer (`class_span[cid]` is each
-        // class's span). A solve that panics faults every member of
-        // *every class in its group* — the members would all have hit
-        // the same kernel assertion serially, since they share the rate
-        // matrix and dt that drive it.
-        let jobs = self.shards.len();
-        let mut class_span = std::mem::take(&mut scratch.class_span);
-        class_span.clear();
-        class_span.resize(classes.len(), Err(String::new()));
-        let mut solved = scratch.arena.take_f64(classes.len() * 8);
-        let mut batch_out = scratch.arena.take_f64(0);
-        {
-            let uavs = &self.uavs;
-            for (members, &(slot, dt)) in group_members.iter().zip(&group_meta) {
-                let rep0 = classes[members[0]].0;
-                // Invariant: `classes` was built from UAVs that passed
-                // the eddi.is_some() gate this tick. If it ever breaks,
-                // the catch below faults the group's members instead of
-                // aborting the tick.
-                let rep_proc = uavs[rep0]
-                    .eddi
-                    .as_ref()
-                    .expect("class representative has an EDDI")
-                    .safedrones()
-                    .markov_process(slot);
-                let state_len = rep_proc.distribution().len();
-                let batch = &mut scratch.batch;
-                let out = &mut batch_out;
-                let solve = crate::shard::quiet_catch_unwind(|| {
-                    // The ref list borrows the member processes, so it
-                    // cannot outlive the tick — a small per-group alloc
-                    // the arena cannot absorb.
-                    let dist_refs: Vec<&[f64]> = members
-                        .iter()
-                        .map(|&cid| {
-                            let (rep, s, _) = classes[cid];
-                            uavs[rep]
-                                .eddi
-                                .as_ref()
-                                .expect("class representative has an EDDI")
-                                .safedrones()
-                                .markov_process(s)
-                                .distribution()
-                        })
-                        .collect();
-                    rep_proc.solve_dists_batch(&dist_refs, dt.as_secs_f64(), out, batch);
-                });
-                match solve {
-                    Ok(()) => {
-                        for (d, &cid) in members.iter().enumerate() {
-                            let start = solved.len();
-                            solved.extend_from_slice(&batch_out[d * state_len..][..state_len]);
-                            class_span[cid] = Ok((start, state_len));
-                        }
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        for &cid in members.iter() {
-                            class_span[cid] = Err(message.clone());
-                        }
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            let failed = (0..MARKOV_SLOTS)
-                .find_map(|slot| class_of[i][slot].and_then(|cid| class_span[cid].as_ref().err()));
-            if let Some(message) = failed {
-                plans[i] = None; // skip the finish; the fault quarantines it
-                let message = message.clone();
-                self.pending_faults.push(UavFault {
-                    uav: i,
-                    id: telemetries[i].uav,
-                    at: now,
-                    phase: FaultPhase::EddiSolve,
-                    message,
-                });
-            }
-        }
-
-        // Finish each shard's UAVs in parallel: the shard slices are
-        // disjoint `&mut` windows of the fleet, so no state is shared.
-        let shards = &self.shards;
-        let mut plan_chunks: Vec<Vec<Option<TickPlan>>> = Vec::with_capacity(shards.len());
-        {
-            let mut it = plans.into_iter();
-            for r in shards {
-                plan_chunks.push(it.by_ref().take(r.len()).collect());
-            }
-        }
-        let mut works: Vec<ShardWork> = Vec::with_capacity(shards.len());
-        {
-            let mut rest = self.uavs.as_mut_slice();
-            for (r, chunk) in shards.iter().zip(plan_chunks) {
-                let (head, tail) = rest.split_at_mut(r.len());
-                works.push((r.start, head, chunk));
-                rest = tail;
-            }
-        }
-        // Each UAV's finish is individually caught, so one panicking
-        // engine faults one UAV instead of unwinding the whole shard.
-        type FinishResult = Result<Option<EddiOutputs>, String>;
-        let outs: Vec<FinishResult> = crate::shard::run_tasks(jobs, works, |_, work| {
-            let start = work.0;
-            let mut shard_outs = Vec::with_capacity(work.1.len());
-            for k in 0..work.1.len() {
-                let i = start + k;
-                let out: FinishResult = match (work.2[k].take(), work.1[k].eddi.as_mut()) {
-                    (Some(plan), Some(eddi)) => {
-                        let tel = &telemetries[i];
-                        let scene = SceneCondition {
-                            altitude_m: tel.true_position.alt_m,
-                            visibility,
-                        };
-                        let mut primes: [Option<&[f64]>; MARKOV_SLOTS] = [None; MARKOV_SLOTS];
-                        for slot in 0..MARKOV_SLOTS {
-                            if let Some(cid) = class_of[i][slot] {
-                                // Invariant: a failed class excised its
-                                // members above, so the lookup hits Ok.
-                                if let Ok(&(start, len)) = class_span[cid].as_ref() {
-                                    primes[slot] = Some(&solved[start..start + len]);
-                                }
-                            }
-                        }
-                        // Unwind safety: a panicking engine is
-                        // quarantined and never ticked again.
-                        crate::shard::quiet_catch_unwind(|| {
-                            eddi.finish_tick(tel, &scene, plan, primes)
-                        })
-                        .map(Some)
-                        .map_err(|payload| panic_message(payload.as_ref()))
-                    }
-                    _ => Ok(None),
-                };
-                shard_outs.push(out);
-            }
-            shard_outs
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
+        let mut detections = det_events.drain(..);
         for i in 0..n {
             let tel = &telemetries[i];
-            for ev in det_events[i].drain(..) {
+            for ev in detections.by_ref().take(slots[i].detections) {
                 self.events.push(now, ev);
             }
-            match &outs[i] {
-                Ok(Some(out)) => {
-                    // Output guard at the merge position — exactly where
-                    // the serial oracle checks it.
-                    if let Some(fault) = Self::output_guard(i, tel.uav, out, now) {
+            match slots[i].eddi.take() {
+                Some(Ok(out)) => {
+                    if let Some(fault) = Self::output_guard(i, tel.uav, &out, now) {
                         self.pending_faults.push(fault);
                     } else {
-                        self.uavs[i].last_good_outputs = Some(out.clone());
-                        self.apply_eddi_outputs(i, tel, out, now, second_boundary);
+                        self.apply_eddi_outputs(i, tel, &out, now, second_boundary);
+                        self.uavs[i].last_good_outputs = Some(out);
                     }
                 }
-                Ok(None) => {}
-                Err(message) => self.pending_faults.push(UavFault {
+                Some(Err(message)) => self.pending_faults.push(UavFault {
                     uav: i,
                     id: tel.uav,
                     at: now,
-                    phase: FaultPhase::EddiFinish,
-                    message: message.clone(),
+                    phase: FaultPhase::EddiTick,
+                    message,
                 }),
+                None => {}
             }
             // Trajectory sampling.
             if second_boundary {
                 self.trajectories[i].push((now.as_secs_f64(), tel.true_position));
             }
         }
-        // Return the leases and the scratch so next tick starts warm.
-        scratch.arena.give_f64(batch_out);
-        scratch.arena.give_f64(solved);
-        scratch.det_events_per_uav = det_events;
-        scratch.class_of = class_of;
-        scratch.classes = classes;
-        scratch.class_index = class_index;
-        scratch.group_index = group_index;
-        scratch.group_members = group_members;
-        scratch.group_meta = group_meta;
-        scratch.class_span = class_span;
-        self.scratch = scratch;
+        drop(detections);
+        self.scratch.det_events = det_events;
+        self.scratch.slots = slots;
         span.enter(phase::SENSE_PUBLISH);
     }
 
-    /// The serial airspace pass — geofence updates plus the O(n²)
-    /// nearest-teammate separation scan. The oracle for
-    /// [`Self::step_airspace_sharded`].
-    fn step_airspace_serial(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
+    /// The airspace pass: the O(n²) nearest-teammate proximity scan is a
+    /// pure function of this tick's telemetry, so it fans out over the
+    /// shard plan; geofence updates, risk assessments and their events
+    /// then merge serially in fleet order.
+    fn step_airspace(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
         let n = telemetries.len();
-        // A quarantined UAV is excised from the separation scan (its
-        // telemetry may be the corrupt readings that faulted it); the
-        // geofence — which watches true position — keeps running.
-        let mut quarantined = std::mem::take(&mut self.scratch.quarantined);
-        quarantined.clear();
-        quarantined.extend(self.uavs.iter().map(|u| u.quarantine.is_some()));
-        for i in 0..n {
-            let tel = &telemetries[i];
-            if let Some(status) = self.geofences[i].update(&tel.true_position) {
-                let severity = match status {
-                    FenceStatus::Inside => Severity::Info,
-                    FenceStatus::Margin => Severity::Warning,
-                    FenceStatus::Breach => Severity::Critical,
-                };
-                self.events.push(
-                    now,
-                    SystemEvent::MonitorFinding {
-                        uav: tel.uav,
-                        monitor: "geofence".into(),
-                        severity,
-                        detail: format!("fence status -> {status:?}"),
-                    },
-                );
-            }
-            if self.config.sesame_enabled && tel.mode == FlightMode::Mission && !quarantined[i] {
-                // Nearest airborne teammate and closing geometry.
-                let mut nearest = f64::INFINITY;
-                let mut converging = false;
-                for j in 0..n {
-                    if j == i || quarantined[j] || !telemetries[j].mode.is_airborne() {
-                        continue;
-                    }
-                    let d = tel
-                        .true_position
-                        .distance_3d_m(&telemetries[j].true_position);
-                    if d < nearest {
-                        nearest = d;
-                        // Converging when the relative velocity points at
-                        // the teammate.
-                        let rel = telemetries[j].true_position.to_enu(&tel.true_position);
-                        let rel_v = tel.velocity - telemetries[j].velocity;
-                        converging = rel_v.dot(&rel.into()) > 0.0;
-                    }
-                }
-                if nearest.is_finite() {
-                    self.assess_separation(i, tel, nearest, converging, now);
-                }
-            }
-        }
-        self.scratch.quarantined = quarantined;
-    }
-
-    /// The sharded airspace pass: the O(n²) proximity scan is a pure
-    /// function of this tick's telemetry, so it fans out over the shard
-    /// ranges; geofence updates, risk assessments and their events then
-    /// merge serially in fleet order.
-    fn step_airspace_sharded(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
-        let n = telemetries.len();
-        let jobs = self.shards.len();
-        let shards = &self.shards;
         let sesame = self.config.sesame_enabled;
-        // Same excision as the serial oracle: quarantined UAVs are
-        // neither subjects nor teammates of the separation scan.
+        // A quarantined UAV is excised from the separation scan, as
+        // subject and as teammate (its telemetry may be the corrupt
+        // readings that faulted it); the geofence — which watches true
+        // position — keeps running.
         let mut quarantined = std::mem::take(&mut self.scratch.quarantined);
         quarantined.clear();
         quarantined.extend(self.uavs.iter().map(|u| u.quarantine.is_some()));
-        let prox: Vec<Option<(f64, bool)>> = crate::shard::run_indexed(jobs, shards.len(), |s| {
-            shards[s]
-                .clone()
-                .map(|i| {
-                    let tel = &telemetries[i];
-                    if !(sesame && tel.mode == FlightMode::Mission) || quarantined[i] {
-                        return None;
-                    }
-                    // Nearest airborne teammate and closing geometry.
-                    let mut nearest = f64::INFINITY;
-                    let mut converging = false;
-                    for j in 0..n {
-                        if j == i || quarantined[j] || !telemetries[j].mode.is_airborne() {
-                            continue;
-                        }
-                        let d = tel
-                            .true_position
-                            .distance_3d_m(&telemetries[j].true_position);
-                        if d < nearest {
-                            nearest = d;
-                            // Converging when the relative velocity
-                            // points at the teammate.
-                            let rel = telemetries[j].true_position.to_enu(&tel.true_position);
-                            let rel_v = tel.velocity - telemetries[j].velocity;
-                            converging = rel_v.dot(&rel.into()) > 0.0;
-                        }
-                    }
-                    nearest.is_finite().then_some((nearest, converging))
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let mut slots = std::mem::take(&mut self.scratch.slots);
+        slots.resize_with(n, UavSlot::default);
+        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, _, slot| {
+            let tel = &telemetries[i];
+            if !(sesame && tel.mode == FlightMode::Mission) || quarantined[i] {
+                return;
+            }
+            // Nearest airborne teammate and closing geometry.
+            let mut nearest = f64::INFINITY;
+            let mut converging = false;
+            for j in 0..n {
+                if j == i || quarantined[j] || !telemetries[j].mode.is_airborne() {
+                    continue;
+                }
+                let d = tel
+                    .true_position
+                    .distance_3d_m(&telemetries[j].true_position);
+                if d < nearest {
+                    nearest = d;
+                    // Converging when the relative velocity points at the
+                    // teammate.
+                    let rel = telemetries[j].true_position.to_enu(&tel.true_position);
+                    let rel_v = tel.velocity - telemetries[j].velocity;
+                    converging = rel_v.dot(&rel.into()) > 0.0;
+                }
+            }
+            slot.proximity = nearest.is_finite().then_some((nearest, converging));
+        });
         for i in 0..n {
             let tel = &telemetries[i];
             if let Some(status) = self.geofences[i].update(&tel.true_position) {
@@ -2269,16 +1879,17 @@ impl Platform {
                     },
                 );
             }
-            if let Some((nearest, converging)) = prox[i] {
+            if let Some((nearest, converging)) = slots[i].proximity.take() {
                 self.assess_separation(i, tel, nearest, converging, now);
             }
         }
         self.scratch.quarantined = quarantined;
+        self.scratch.slots = slots;
     }
 
     /// Runs the SINADRA separation assessment for one UAV against its
     /// precomputed nearest-teammate geometry and emits the rising-edge
-    /// warning event. Shared verbatim by both airspace passes.
+    /// warning event.
     fn assess_separation(
         &mut self,
         i: usize,
@@ -2407,9 +2018,9 @@ impl Platform {
 
     /// The containment step: quarantine this tick's isolated faults, run
     /// the revival probes, feed the tick watchdog. Serial and in fleet
-    /// order on both execution plans — the pending faults are sorted by
-    /// fleet index first, so the processing order never depends on which
-    /// plan (or which sub-phase of it) isolated them.
+    /// order — the pending faults are sorted by fleet index first, so the
+    /// processing order never depends on which step of the tick isolated
+    /// them.
     fn step_containment(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
         let n = self.uavs.len();
         let mut faults = std::mem::take(&mut self.pending_faults);
@@ -2455,11 +2066,11 @@ impl Platform {
         self.step_revival_probes(telemetries, now);
 
         // The logical tick watchdog: a UAV faulting or stalling
-        // `watchdog_trip_after` ticks in a row demotes the sharded tick
-        // to the serial reference path for a cooldown. The demotion
-        // state machine runs on every plan — on an already-serial plan
-        // it is vacuous but its counters still tick, keeping the
-        // wall-clock-free metrics identical across shard policies.
+        // `watchdog_trip_after` ticks in a row demotes the tick to a
+        // one-shard plan for a cooldown. The demotion state machine runs
+        // on every plan — on a one-shard plan it is vacuous but its
+        // counters still tick, keeping the wall-clock-free metrics
+        // identical across shard policies.
         let tripped = self.watchdog.observe(&tick_faulted);
         for i in tripped {
             let id = self.uavs[i].handle.id();
@@ -2742,192 +2353,60 @@ impl Platform {
         }
     }
 
+    /// The ConSert pass. Each UAV's decision depends only on its own
+    /// evidence, ConSert cache and telemetry, so the `decide` calls fan
+    /// out over the shard plan; actuation, metrics, traces and events then
+    /// merge serially in fleet order (the UAV manager's `last_action` edge
+    /// detection is per-UAV, so the merge order preserves its stream),
+    /// followed by the mission-level decider.
     fn step_conserts(&mut self, telemetries: &[UavTelemetry], now: SimTime, span: &mut TickSpan) {
         let n = self.uavs.len();
         let airborne: usize = telemetries.iter().filter(|t| t.mode.is_airborne()).count();
-        let mut actions = std::mem::take(&mut self.scratch.actions);
-        actions.clear();
-        for i in 0..n {
+        // A cut-off UAV is already flying home under supervision
+        // authority; declaring it aborting lets the mission decider
+        // redistribute its remaining tasks.
+        let supervision = self.config.supervision.enabled;
+        let supervisors = &self.supervisors;
+        let fallback =
+            |i: usize| supervision && supervisors[i].state() == HealthState::SafeFallback;
+        let uav_names = &self.uav_names;
+        let mut slots = std::mem::take(&mut self.scratch.slots);
+        slots.resize_with(n, UavSlot::default);
+        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, rt, slot| {
+            // A CL-landing UAV is under CL control; a quarantined one is
+            // excised (its engine state is suspect and containment
+            // already commanded RTB).
+            if rt.cl_landing || rt.quarantine.is_some() || fallback(i) {
+                return;
+            }
+            let (Some(eddi), Some(conserts)) = (&rt.eddi, rt.conserts.as_mut()) else {
+                return;
+            };
             let tel = &telemetries[i];
-            let id = tel.uav;
-            if self.uavs[i].cl_landing {
-                actions.push(UavAction::EmergencyLand); // under CL control
-                continue;
-            }
-            // A quarantined UAV is excised from the composition: its
-            // engine state is suspect and containment already commanded
-            // RTB; declaring it aborting redistributes its tasks.
-            if self.uavs[i].quarantine.is_some() {
-                actions.push(UavAction::ReturnToBase);
-                continue;
-            }
-            // A cut-off UAV is already flying home under supervision
-            // authority; declaring it aborting here lets the mission
-            // decider redistribute its remaining tasks.
-            if self.config.supervision.enabled
-                && self.supervisors[i].state() == HealthState::SafeFallback
-            {
-                actions.push(UavAction::ReturnToBase);
-                continue;
-            }
             let neighbors_available = airborne >= 3 && tel.link_quality > 0.4;
-            let Some(eddi) = &self.uavs[i].eddi else {
-                actions.push(UavAction::ContinueMission);
-                continue;
-            };
-            let evidence = eddi.evidence(tel, self.uavs[i].attack_detected, neighbors_available);
-            let Some(conserts) = self.uavs[i].conserts.as_mut() else {
-                actions.push(UavAction::ContinueMission);
-                continue;
-            };
+            let evidence = eddi.evidence(tel, rt.attack_detected, neighbors_available);
             // One call answers both the action and the accuracy bound —
             // the fast path evaluates the network at most once per tick.
             // The UAV name is cached at construction; the reference
             // catalog keys its network lookup on it every tick.
-            let decision = conserts.decide(&self.uav_names[i], &evidence);
-            let action = decision.action.unwrap_or(UavAction::EmergencyLand);
-            self.uavs[i].last_nav_accuracy = decision.nav_accuracy_m;
-            actions.push(action);
-            let prev = self.manager.last_action(id);
-            if let Some(cmd) = self.manager.translate_action(id, action) {
-                self.sim.command(self.uavs[i].handle, cmd);
-            }
-            if prev != Some(action) {
-                self.metrics.inc("consert.decisions");
-                self.trace.push(
-                    now.as_millis(),
-                    TraceEvent::GuaranteeChanged {
-                        uav: i,
-                        from: prev.map_or_else(|| "none".to_string(), |a| a.to_string()),
-                        to: action.to_string(),
-                    },
-                );
-                self.events.push(
-                    now,
-                    SystemEvent::ConsertDecision {
-                        uav: id,
-                        guarantee: action.to_string(),
-                    },
-                );
-            }
-        }
-        // Mission-level decider.
-        span.enter(phase::DECIDE);
-        let decision = decide_mission(&actions);
-        if decision == MissionDecision::RedistributeTasks {
-            // Redistribute the tasks of every aborting UAV once.
-            for i in 0..n {
-                let id = self.uavs[i].handle.id();
-                if matches!(
-                    actions[i],
-                    UavAction::ReturnToBase | UavAction::EmergencyLand
-                ) {
-                    let capable: Vec<UavId> = (0..n)
-                        .filter(|j| actions[*j].is_mission_capable())
-                        .map(|j| self.uavs[j].handle.id())
-                        .collect();
-                    let moves = self.tasks.redistribute(id, &capable);
-                    for (task, from, to) in moves {
-                        self.events
-                            .push(now, SystemEvent::TaskReallocated { task, from, to });
-                        // Upload the inherited route to the new owner.
-                        if let Some(j) = self.uavs.iter().position(|u| u.handle.id() == to) {
-                            let route = self.tasks.remaining_route(to);
-                            self.upload_route(j, route);
-                        }
-                    }
-                }
-            }
-        }
-        self.scratch.actions = actions;
-    }
-
-    /// The sharded ConSert pass. Each UAV's decision depends only on its
-    /// own evidence, ConSert cache and telemetry, so the `decide` calls
-    /// fan out over the disjoint shard slices; actuation, metrics,
-    /// traces and events then merge serially in fleet order, replaying
-    /// the serial tail exactly (the UAV manager's `last_action` edge
-    /// detection is per-UAV, so the merge order preserves its stream).
-    fn step_conserts_sharded(
-        &mut self,
-        telemetries: &[UavTelemetry],
-        now: SimTime,
-        span: &mut TickSpan,
-    ) {
-        let n = self.uavs.len();
-        let airborne: usize = telemetries.iter().filter(|t| t.mode.is_airborne()).count();
-        let mut fallback = std::mem::take(&mut self.scratch.fallback);
-        fallback.clear();
-        fallback.extend((0..n).map(|i| {
-            self.config.supervision.enabled
-                && self.supervisors[i].state() == HealthState::SafeFallback
-        }));
-        let fallback = fallback; // shared by the worker closures below
-                                 // `Some(action)` iff the serial path would have evaluated this
-                                 // UAV's ConSert; the merge distinguishes that from the static
-                                 // CL-landing / fallback / no-runtime actions below.
-        let jobs = self.shards.len();
-        let shards = &self.shards;
-        let uav_names = &self.uav_names;
-        let mut works: Vec<(usize, &mut [UavRt])> = Vec::with_capacity(shards.len());
-        {
-            let mut rest = self.uavs.as_mut_slice();
-            for r in shards {
-                let (head, tail) = rest.split_at_mut(r.len());
-                works.push((r.start, head));
-                rest = tail;
-            }
-        }
-        let decided: Vec<Option<UavAction>> = crate::shard::run_tasks(jobs, works, |_, work| {
-            let start = work.0;
-            let mut shard_actions = Vec::with_capacity(work.1.len());
-            for (k, rt) in work.1.iter_mut().enumerate() {
-                let i = start + k;
-                let tel = &telemetries[i];
-                if rt.cl_landing || rt.quarantine.is_some() || fallback[i] {
-                    shard_actions.push(None);
-                    continue;
-                }
-                let neighbors_available = airborne >= 3 && tel.link_quality > 0.4;
-                let Some(eddi) = &rt.eddi else {
-                    shard_actions.push(None);
-                    continue;
-                };
-                let evidence = eddi.evidence(tel, rt.attack_detected, neighbors_available);
-                let Some(conserts) = rt.conserts.as_mut() else {
-                    shard_actions.push(None);
-                    continue;
-                };
-                // One call answers both the action and the accuracy
-                // bound — evaluated at most once per tick.
-                let decision = conserts.decide(&uav_names[i], &evidence);
-                rt.last_nav_accuracy = decision.nav_accuracy_m;
-                shard_actions.push(Some(decision.action.unwrap_or(UavAction::EmergencyLand)));
-            }
-            shard_actions
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+            let decision = conserts.decide(&uav_names[i], &evidence);
+            rt.last_nav_accuracy = decision.nav_accuracy_m;
+            slot.action = Some(decision.action.unwrap_or(UavAction::EmergencyLand));
+        });
         let mut actions = std::mem::take(&mut self.scratch.actions);
         actions.clear();
         for i in 0..n {
-            let tel = &telemetries[i];
-            let id = tel.uav;
+            let id = telemetries[i].uav;
+            let decided = slots[i].action.take();
             if self.uavs[i].cl_landing {
                 actions.push(UavAction::EmergencyLand); // under CL control
                 continue;
             }
-            // Same order as the serial pass: CL → quarantine → fallback.
-            if self.uavs[i].quarantine.is_some() {
+            if self.uavs[i].quarantine.is_some() || fallback(i) {
                 actions.push(UavAction::ReturnToBase);
                 continue;
             }
-            if fallback[i] {
-                actions.push(UavAction::ReturnToBase);
-                continue;
-            }
-            let Some(action) = decided[i] else {
+            let Some(action) = decided else {
                 actions.push(UavAction::ContinueMission);
                 continue;
             };
@@ -2955,6 +2434,7 @@ impl Platform {
                 );
             }
         }
+        self.scratch.slots = slots;
         // Mission-level decider.
         span.enter(phase::DECIDE);
         let decision = decide_mission(&actions);
@@ -2984,7 +2464,6 @@ impl Platform {
             }
         }
         self.scratch.actions = actions;
-        self.scratch.fallback = fallback;
     }
 
     /// The baseline policy of §V-A: at the first battery symptom (sharp
@@ -3142,10 +2621,10 @@ impl Platform {
         self.uavs.len()
     }
 
-    /// How many shards the tick actually runs in (`1` = the serial
-    /// oracle). Resolved once from the fleet's [`crate::fleet::ShardPolicy`]
-    /// at construction; sharding additionally requires the SESAME stack
-    /// and the EDDI fast path.
+    /// How many shards the tick's fan-outs currently run over (`1` = all
+    /// on the caller's thread). Resolved once from the fleet's
+    /// [`crate::fleet::ShardPolicy`] at construction; a watchdog demotion
+    /// drops it to `1` for the cooldown.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -3261,11 +2740,6 @@ mod tests {
         assert_eq!(cfg.fleet.total(), 2);
         assert_eq!(cfg.motor_count, 6);
         assert_eq!(cfg.tolerated_motor_failures, 1);
-
-        // The deprecated shim produces an identical config.
-        #[allow(deprecated)]
-        let shimmed = PlatformConfig::builder().uav_count(2).build().unwrap();
-        assert_eq!(shimmed.fleet, FleetSpec::uniform(2));
 
         assert_eq!(
             PlatformConfig::builder()

@@ -47,7 +47,7 @@ pub enum HealthState {
     /// safe fallback behaviour — return to base.
     SafeFallback,
     /// The UAV's own compute faulted (a panic or non-finite EDDI output
-    /// was isolated): it is excised from solve-class dedup, the airspace
+    /// was isolated): it is excised from the EDDI tick, the airspace
     /// scan and ConSert composition, commanded RTB, and only re-admitted
     /// by the containment layer's revival probe. Entered and left via
     /// [`UavSupervisor::quarantine`] / [`UavSupervisor::release`], never
@@ -115,9 +115,9 @@ pub struct SupervisionConfig {
     /// `revival_backoff_ticks << revival_backoff_cap`).
     pub revival_backoff_cap: u32,
     /// Consecutive faulty ticks of one UAV that trip the tick watchdog
-    /// and demote the sharded tick to the serial reference path.
+    /// and demote the tick to a one-shard plan.
     pub watchdog_trip_after: u64,
-    /// Ticks the watchdog keeps the tick demoted to serial after a trip.
+    /// Ticks the watchdog keeps the tick demoted to one shard after a trip.
     pub watchdog_cooldown_ticks: u64,
 }
 

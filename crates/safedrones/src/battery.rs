@@ -180,31 +180,6 @@ impl BatteryModel {
         self.process.solver_cache_stats()
     }
 
-    /// The solve identity of the next [`BatteryModel::advance`] with step
-    /// `dt_secs` (see [`crate::markov::CtmcProcess::solve_key`]).
-    pub fn solve_key(&self, dt_secs: f64) -> crate::markov::SolveKey {
-        self.process.solve_key(dt_secs)
-    }
-
-    /// The distribution [`BatteryModel::advance`] would produce, pure
-    /// (see [`crate::markov::CtmcProcess::solve_dist`]).
-    pub fn solve_dist(&self, dt_secs: f64) -> Vec<f64> {
-        self.process.solve_dist(dt_secs)
-    }
-
-    /// [`BatteryModel::advance`] with an optional precomputed distribution
-    /// (see [`crate::markov::CtmcProcess::advance_primed`]).
-    pub fn advance_primed(&mut self, dt_secs: f64, primed: Option<&[f64]>) {
-        self.process.advance_primed(dt_secs, primed);
-    }
-
-    /// Read-only access to the underlying Markov process, for fleet-level
-    /// batched solve scheduling (see
-    /// [`crate::markov::CtmcProcess::solve_dists_batch`]).
-    pub fn process(&self) -> &CtmcProcess {
-        &self.process
-    }
-
     /// Probability the battery has failed chemically by now.
     pub fn probability_of_failure(&self) -> f64 {
         self.process.mass_in(&[state::FAILED])

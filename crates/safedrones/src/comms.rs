@@ -98,30 +98,6 @@ impl CommsModel {
         self.process.solver_cache_stats()
     }
 
-    /// The solve identity of the next [`CommsModel::advance`] with step
-    /// `dt_secs` (see [`CtmcProcess::solve_key`]).
-    pub fn solve_key(&self, dt_secs: f64) -> crate::markov::SolveKey {
-        self.process.solve_key(dt_secs)
-    }
-
-    /// The distribution [`CommsModel::advance`] would produce, pure (see
-    /// [`CtmcProcess::solve_dist`]).
-    pub fn solve_dist(&self, dt_secs: f64) -> Vec<f64> {
-        self.process.solve_dist(dt_secs)
-    }
-
-    /// [`CommsModel::advance`] with an optional precomputed distribution
-    /// (see [`CtmcProcess::advance_primed`]).
-    pub fn advance_primed(&mut self, dt_secs: f64, primed: Option<&[f64]>) {
-        self.process.advance_primed(dt_secs, primed);
-    }
-
-    /// Read-only access to the underlying Markov process, for fleet-level
-    /// batched solve scheduling (see [`CtmcProcess::solve_dists_batch`]).
-    pub fn process(&self) -> &CtmcProcess {
-        &self.process
-    }
-
     /// Probability the link is down right now.
     pub fn probability_down(&self) -> f64 {
         self.process.mass_in(&[state::DOWN])

@@ -44,10 +44,8 @@ pub mod processor;
 pub mod propulsion;
 
 pub use fta::{BasicEventId, FaultTree, Gate};
-pub use markov::{Ctmc, SolveKey, SolverCacheStats};
-pub use monitor::{
-    ReliabilityAction, ReliabilityEstimate, SafeDronesConfig, SafeDronesMonitor, MARKOV_SLOTS,
-};
+pub use markov::{Ctmc, SolverCacheStats};
+pub use monitor::{ReliabilityAction, ReliabilityEstimate, SafeDronesConfig, SafeDronesMonitor};
 
 /// The three reliability bands the Safety EDDI ConSert consumes ("High /
 /// Medium / Low Reliability" guarantees in Fig. 1 of the paper).

@@ -32,20 +32,7 @@
 //! All solver entry points funnel into one in-place kernel that works on
 //! caller-provided [`UniformizationScratch`] buffers; with a warm scratch
 //! (and a warm solver cache) a steady-state solve performs zero heap
-//! allocations. The batched entry points ([`CtmcProcess::solve_dists_batch`])
-//! advance every distribution that shares a solve profile in a single
-//! state-major SoA pass: the Poisson weights and the truncation point
-//! depend only on `Λt`, so they are computed once for the whole batch,
-//! and the per-distribution accumulation order is exactly the scalar
-//! order — batched results are bit-identical to one-at-a-time solves.
-
-use sesame_types::inline::InlineVec;
-
-/// Inline capacity of a [`SolveKey`]: rate-matrix words (`n²`, `n ≤ 6`
-/// for every SafeDrones chain) plus distribution words plus the step —
-/// built fresh every tick by [`CtmcProcess::solve_key`], so it must not
-/// touch the heap (see DESIGN.md § "Hot-loop memory discipline").
-const SOLVE_KEY_INLINE: usize = 48;
+//! allocations.
 
 /// A continuous-time Markov chain over states `0..n`.
 ///
@@ -157,16 +144,6 @@ impl Ctmc {
         let mut out = Vec::new();
         let mut scratch = UniformizationScratch::default();
         self.uniformize_into(p0, 1, t, tol, &profile, &mut out, &mut scratch);
-        out
-    }
-
-    /// [`Ctmc::transient_with_tol`] with the rate-matrix-dependent
-    /// quantities supplied from a memoized [`SolveProfile`]. Bit-identical
-    /// to the naive solver (same sums, same operation order).
-    fn transient_cached(&self, p0: &[f64], t: f64, tol: f64, profile: &SolveProfile) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut scratch = UniformizationScratch::default();
-        self.uniformize_into(p0, 1, t, tol, profile, &mut out, &mut scratch);
         out
     }
 
@@ -328,57 +305,6 @@ pub struct UniformizationScratch {
     acc: Vec<f64>,
 }
 
-/// Working buffers for [`CtmcProcess::solve_dists_batch`]: the stacked
-/// input distributions plus the kernel scratch. Reuse across ticks for
-/// allocation-free batched solves.
-#[derive(Debug, Clone, Default)]
-pub struct BatchSolveScratch {
-    stacked: Vec<f64>,
-    uniform: UniformizationScratch,
-}
-
-/// A value-identity key for one transient solve: the exact bit patterns
-/// of the rate matrix, the current distribution, and the time step. Two
-/// processes with equal keys would compute bit-identical solves, so a
-/// fleet-level scheduler can solve one representative and prime the rest
-/// (see [`CtmcProcess::advance_primed`]). The key is pure data — hashable,
-/// comparable, and decoupled from the process it was derived from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SolveKey(InlineVec<u64, SOLVE_KEY_INLINE>);
-
-impl SolveKey {
-    /// Number of packed words (rates + distribution + dt).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the key is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// The batching identity of one transient solve: the exact bit patterns
-/// of the rate matrix and the time step — everything a [`SolveProfile`]
-/// and the shared Poisson weights depend on, but *not* the distribution.
-/// Processes sharing a profile key can be advanced together in one SoA
-/// pass ([`CtmcProcess::solve_dists_batch`]) with bit-identical results,
-/// even when their distributions differ.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProfileKey(Vec<u64>);
-
-impl ProfileKey {
-    /// Number of packed words (rates + dt).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the key is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 /// Hit/miss counters of a process-level solver cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverCacheStats {
@@ -534,133 +460,6 @@ impl CtmcProcess {
         std::mem::swap(&mut self.dist, &mut self.solve_out);
     }
 
-    /// The solve identity of the *next* [`CtmcProcess::advance`] call with
-    /// step `dt_secs`: rate-matrix bits, distribution bits, and the step's
-    /// bits. Processes sharing a key compute bit-identical solves.
-    pub fn solve_key(&self, dt_secs: f64) -> SolveKey {
-        let mut bits: InlineVec<u64, SOLVE_KEY_INLINE> = InlineVec::new();
-        bits.extend(self.chain.rates.iter().map(|r| r.to_bits()));
-        bits.extend(self.dist.iter().map(|p| p.to_bits()));
-        bits.push(dt_secs.to_bits());
-        SolveKey(bits)
-    }
-
-    /// The batching identity of the *next* advance with step `dt_secs`:
-    /// rate-matrix bits plus the step's bits, *without* the distribution.
-    /// Processes sharing a profile key share the solve profile and the
-    /// Poisson weights, so they can be advanced together with
-    /// [`CtmcProcess::solve_dists_batch`].
-    pub fn profile_key(&self, dt_secs: f64) -> ProfileKey {
-        let mut bits = Vec::with_capacity(self.chain.rates.len() + 1);
-        bits.extend(self.chain.rates.iter().map(|r| r.to_bits()));
-        bits.push(dt_secs.to_bits());
-        ProfileKey(bits)
-    }
-
-    /// Solves `dists` — distributions over *this process's chain*, e.g.
-    /// the beliefs of other UAVs whose [`CtmcProcess::profile_key`] equals
-    /// this one's — for one shared step in a single SoA uniformization
-    /// pass. Results land in `out`, dist-major (`out[d*n..][..n]` is the
-    /// advanced `dists[d]`), and are bit-identical to calling
-    /// [`CtmcProcess::solve_dist`] once per distribution. Does not mutate
-    /// the process; with warm buffers the pass allocates nothing beyond a
-    /// cold profile rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any distribution has the wrong length or is not a
-    /// probability vector.
-    pub fn solve_dists_batch(
-        &self,
-        dists: &[&[f64]],
-        dt_secs: f64,
-        out: &mut Vec<f64>,
-        scratch: &mut BatchSolveScratch,
-    ) {
-        let n = self.chain.len();
-        scratch.stacked.clear();
-        for d in dists {
-            assert_eq!(d.len(), n, "batched distribution size mismatch");
-            scratch.stacked.extend_from_slice(d);
-        }
-        match &self.cache {
-            Some(profile) if self.cache_enabled && profile.matches(&self.chain) => {
-                self.chain.uniformize_into(
-                    &scratch.stacked,
-                    dists.len(),
-                    dt_secs,
-                    1e-12,
-                    profile,
-                    out,
-                    &mut scratch.uniform,
-                );
-            }
-            _ => {
-                let profile = SolveProfile::build(&self.chain);
-                self.chain.uniformize_into(
-                    &scratch.stacked,
-                    dists.len(),
-                    dt_secs,
-                    1e-12,
-                    &profile,
-                    out,
-                    &mut scratch.uniform,
-                );
-            }
-        }
-    }
-
-    /// Computes the distribution [`CtmcProcess::advance`] would assign for
-    /// step `dt_secs` — without mutating the process or its cache
-    /// counters. Bit-identical to the mutating path (cached and naive
-    /// solvers agree bit for bit, see the module invariant), so the result
-    /// can prime any process with an equal [`CtmcProcess::solve_key`].
-    pub fn solve_dist(&self, dt_secs: f64) -> Vec<f64> {
-        match &self.cache {
-            Some(profile) if self.cache_enabled && profile.matches(&self.chain) => self
-                .chain
-                .transient_cached(&self.dist, dt_secs, 1e-12, profile),
-            _ if self.cache_enabled => {
-                let profile = SolveProfile::build(&self.chain);
-                self.chain
-                    .transient_cached(&self.dist, dt_secs, 1e-12, &profile)
-            }
-            _ => self.chain.transient(&self.dist, dt_secs),
-        }
-    }
-
-    /// [`CtmcProcess::advance`] with an optional precomputed distribution.
-    ///
-    /// With `primed: None` this is exactly `advance(dt_secs)`. With
-    /// `Some(dist)` the solve is skipped and `dist` adopted — but the
-    /// cache/stats bookkeeping still runs exactly as `advance` would, so a
-    /// primed process is bit-indistinguishable (belief *and* counters)
-    /// from one that solved locally. The caller guarantees `dist` is the
-    /// solve result for this process's current [`CtmcProcess::solve_key`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a primed distribution has the wrong length.
-    pub fn advance_primed(&mut self, dt_secs: f64, primed: Option<&[f64]>) {
-        let Some(dist) = primed else {
-            self.advance(dt_secs);
-            return;
-        };
-        assert_eq!(dist.len(), self.dist.len(), "primed distribution size");
-        if self.cache_enabled {
-            let fresh = !matches!(&self.cache, Some(profile) if profile.matches(&self.chain));
-            if fresh {
-                self.cache = Some(Box::new(SolveProfile::build(&self.chain)));
-                self.stats.misses += 1;
-            } else {
-                self.stats.hits += 1;
-            }
-        }
-        // Copy in place; adopting a primed distribution allocates nothing.
-        self.dist.clear();
-        self.dist.extend_from_slice(dist);
-    }
-
     /// Probability mass currently in the given states (e.g. the absorbing
     /// failure states).
     pub fn mass_in(&self, states: &[usize]) -> f64 {
@@ -735,38 +534,38 @@ mod tests {
     }
 
     #[test]
-    fn batched_solve_is_bit_identical_to_scalar_solves() {
+    fn batched_kernel_is_bit_identical_to_scalar_solves() {
         let mut c = Ctmc::new(4);
         c.set_rate(0, 1, 0.3);
         c.set_rate(0, 2, 0.05);
         c.set_rate(1, 0, 0.4);
         c.set_rate(1, 3, 0.2);
         c.set_rate(2, 3, 0.6);
-        let mut rep = CtmcProcess::new(c, 0);
-        rep.enable_solver_cache();
-        rep.advance(1.0); // warm the cache
+        let profile = SolveProfile::build(&c);
 
-        // Distinct distributions sharing the chain and the step.
+        // Distinct distributions sharing the chain and the step, stacked
+        // dist-major as the kernel expects.
         let dists: Vec<Vec<f64>> = vec![
             vec![1.0, 0.0, 0.0, 0.0],
             vec![0.25, 0.25, 0.25, 0.25],
             vec![0.0, 0.7, 0.3, 0.0],
-            rep.distribution().to_vec(),
+            c.transient(&[1.0, 0.0, 0.0, 0.0], 1.0),
         ];
-        let refs: Vec<&[f64]> = dists.iter().map(|d| d.as_slice()).collect();
+        let stacked: Vec<f64> = dists.concat();
         let mut out = Vec::new();
-        let mut scratch = BatchSolveScratch::default();
-        rep.solve_dists_batch(&refs, 2.5, &mut out, &mut scratch);
+        let mut scratch = UniformizationScratch::default();
+        c.uniformize_into(
+            &stacked,
+            dists.len(),
+            2.5,
+            1e-12,
+            &profile,
+            &mut out,
+            &mut scratch,
+        );
 
         for (d, dist) in dists.iter().enumerate() {
-            let mut one = CtmcProcess::new(rep.chain().clone(), 0);
-            one.enable_solver_cache();
-            let scalar = {
-                // Adopt the batched input as the live belief, then solve.
-                one.observe_state(0);
-                one.advance_primed(0.0, Some(dist));
-                one.solve_dist(2.5)
-            };
+            let scalar = c.transient(dist, 2.5);
             let batched = &out[d * 4..(d + 1) * 4];
             for i in 0..4 {
                 assert_eq!(
@@ -776,17 +575,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn profile_key_ignores_the_distribution() {
-        let mut a = CtmcProcess::new(two_state(0.1), 0);
-        let b = CtmcProcess::new(two_state(0.1), 1);
-        assert_ne!(a.solve_key(1.0), b.solve_key(1.0), "beliefs differ");
-        assert_eq!(a.profile_key(1.0), b.profile_key(1.0), "same chain + dt");
-        assert_ne!(a.profile_key(1.0), a.profile_key(2.0), "dt matters");
-        a.chain_mut().set_rate(0, 1, 0.2);
-        assert_ne!(a.profile_key(1.0), b.profile_key(1.0), "rates matter");
     }
 
     #[test]
@@ -951,69 +739,5 @@ mod tests {
         assert_eq!(stats.misses, 2, "initial build + one rate-swap rebuild");
         assert_eq!(stats.hits as usize, dts.len() - 2);
         assert_eq!(naive.solver_cache_stats(), SolverCacheStats::default());
-    }
-
-    /// Equal solve keys mean equal (rates, dist, dt); any difference in
-    /// one of the three changes the key.
-    #[test]
-    fn solve_key_tracks_rates_dist_and_dt() {
-        let mut a = CtmcProcess::new(two_state(0.1), 0);
-        let b = CtmcProcess::new(two_state(0.1), 0);
-        assert_eq!(a.solve_key(1.0), b.solve_key(1.0));
-        assert_ne!(a.solve_key(1.0), b.solve_key(2.0), "dt differs");
-        a.advance(1.0);
-        assert_ne!(a.solve_key(1.0), b.solve_key(1.0), "dist differs");
-        let mut c = CtmcProcess::new(two_state(0.2), 0);
-        assert_ne!(c.solve_key(1.0), b.solve_key(1.0), "rates differ");
-        assert!(!c.solve_key(1.0).is_empty());
-        assert_eq!(c.solve_key(1.0).len(), 4 + 2 + 1);
-        c.chain_mut().set_rate(0, 1, 0.1);
-        assert_eq!(c.solve_key(1.0), b.solve_key(1.0));
-    }
-
-    /// Priming one process with another's `solve_dist` leaves both
-    /// bit-identical in belief *and* cache counters, across rate swaps.
-    #[test]
-    fn primed_advance_is_bit_identical_including_stats() {
-        let mut chain = Ctmc::new(3);
-        chain.set_rate(0, 1, 0.4);
-        chain.set_rate(1, 2, 0.9);
-        let mut solver = CtmcProcess::new(chain.clone(), 0);
-        let mut primed = CtmcProcess::new(chain, 0);
-        solver.enable_solver_cache();
-        primed.enable_solver_cache();
-
-        for k in 0..6 {
-            let dt = 0.5 + k as f64 * 0.25;
-            if k == 3 {
-                solver.chain_mut().set_rate(0, 1, 0.7);
-                primed.chain_mut().set_rate(0, 1, 0.7);
-            }
-            assert_eq!(solver.solve_key(dt), primed.solve_key(dt));
-            let dist = solver.solve_dist(dt);
-            solver.advance(dt);
-            assert_eq!(
-                solver.distribution(),
-                dist.as_slice(),
-                "solve_dist must equal what advance computes"
-            );
-            primed.advance_primed(dt, Some(&dist));
-            let bits = |p: &CtmcProcess| -> Vec<u64> {
-                p.distribution().iter().map(|x| x.to_bits()).collect()
-            };
-            assert_eq!(bits(&solver), bits(&primed), "diverged at step {k}");
-        }
-        assert_eq!(solver.solver_cache_stats(), primed.solver_cache_stats());
-        assert_eq!(solver.solver_cache_stats().misses, 2);
-    }
-
-    /// `advance_primed(_, None)` is exactly `advance`.
-    #[test]
-    fn unprimed_advance_primed_delegates() {
-        let mut a = CtmcProcess::new(two_state(0.3), 0);
-        let mut b = CtmcProcess::new(two_state(0.3), 0);
-        a.advance(2.0);
-        b.advance_primed(2.0, None);
-        assert_eq!(a.distribution(), b.distribution());
     }
 }

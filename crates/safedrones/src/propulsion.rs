@@ -141,30 +141,6 @@ impl PropulsionModel {
         self.process.solver_cache_stats()
     }
 
-    /// The solve identity of the next [`PropulsionModel::advance`] with
-    /// step `dt_secs` (see [`CtmcProcess::solve_key`]).
-    pub fn solve_key(&self, dt_secs: f64) -> crate::markov::SolveKey {
-        self.process.solve_key(dt_secs)
-    }
-
-    /// The distribution [`PropulsionModel::advance`] would produce, pure
-    /// (see [`CtmcProcess::solve_dist`]).
-    pub fn solve_dist(&self, dt_secs: f64) -> Vec<f64> {
-        self.process.solve_dist(dt_secs)
-    }
-
-    /// [`PropulsionModel::advance`] with an optional precomputed
-    /// distribution (see [`CtmcProcess::advance_primed`]).
-    pub fn advance_primed(&mut self, dt_secs: f64, primed: Option<&[f64]>) {
-        self.process.advance_primed(dt_secs, primed);
-    }
-
-    /// Read-only access to the underlying Markov process, for fleet-level
-    /// batched solve scheduling (see [`CtmcProcess::solve_dists_batch`]).
-    pub fn process(&self) -> &CtmcProcess {
-        &self.process
-    }
-
     /// Probability that controllability has been lost by now.
     pub fn probability_of_failure(&self) -> f64 {
         let fail_state = self.layout.tolerated_failures() + 1;

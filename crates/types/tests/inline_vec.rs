@@ -1,7 +1,7 @@
 //! Property tests of [`sesame_types::inline::InlineVec`].
 //!
-//! The hot-loop collections (bus route tables, attack-tree frontiers,
-//! solve-class member lists, SINADRA factor storage) all ride on
+//! The hot-loop collections (fault-tree gate operands, SINADRA factor
+//! storage and evidence sets) all ride on
 //! `InlineVec`, so its observable behaviour must match `Vec<T>` exactly —
 //! across the inline representation, the spill boundary, and the spilled
 //! heap representation. These tests drive an `InlineVec` and a `Vec`
@@ -112,8 +112,8 @@ proptest! {
     /// Equality, ordering and hashing are representation-independent:
     /// the same elements held inline (large `N`) and spilled (tiny `N`)
     /// compare equal, order identically against other content, and hash
-    /// to the same value — required for `SolveKey` map lookups to be
-    /// oblivious to whether a key spilled.
+    /// to the same value — required for map lookups keyed on an
+    /// `InlineVec` to be oblivious to whether a key spilled.
     #[test]
     fn eq_ord_hash_ignore_representation(
         xs in proptest::collection::vec(-3i32..3, 0..8),

@@ -47,7 +47,7 @@ echo "==> eddibench smoke: the incremental EDDI fast path must hold its 3x margi
 cargo run -q --release -p sesame-bench --bin eddibench -- smoke > BENCH_eddi.json
 cat BENCH_eddi.json
 
-echo "==> fleetbench smoke: sharded fleet ticks (3..200 UAVs) must match the serial oracle and hold throughput"
+echo "==> fleetbench smoke: sharded fleet ticks (3..200 UAVs) must keep shard-count invariance against the one-shard plan and hold throughput"
 cargo run -q --release -p sesame-bench --bin fleetbench -- smoke > BENCH_fleet.json
 cat BENCH_fleet.json
 

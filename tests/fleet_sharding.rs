@@ -1,14 +1,16 @@
-//! Sharded-fleet conformance: the shard-partitioned tick against the
-//! serial oracle.
+//! Shard-count invariance: the one tick implementation, run over
+//! several shard plans, against its own one-shard plan.
 //!
-//! The fleet-scale redesign claims that the [`ShardPolicy`] only chooses
-//! how much of the tick runs concurrently — never what it computes. This
-//! suite holds sharded runs to the same standard the EDDI fast path is
+//! The platform has a single tick (serial pre-pass, per-shard fan-out,
+//! serial merge); the [`ShardPolicy`] only chooses how many fleet
+//! windows the fan-outs run over — never what they compute. This suite
+//! holds multi-shard runs to the same standard the EDDI fast path is
 //! held to: **bit-identical** series, trajectories, event logs, traces,
 //! ConSert decisions and (wall-clock-free) metrics, including the EDDI
-//! cache hit/miss counters, at every shard count. Edge cases from the
-//! issue ride along: more shards than UAVs (empty shards), non-divisible
-//! fleet/shard combinations, and a single-UAV fleet.
+//! cache hit/miss counters, against [`ShardPolicy::Serial`] (the
+//! one-shard plan). Edge cases ride along: more shards than UAVs (empty
+//! shards), non-divisible fleet/shard combinations, a single-UAV fleet,
+//! the reference engines and the SESAME-off baseline.
 
 use sesame::core::containment::ComputeFaultKind;
 use sesame::core::fleet::{FleetSpec, ShardPolicy};
@@ -137,7 +139,7 @@ fn single_uav_fleet_shards_trivially() {
 }
 
 /// A 50-UAV fleet under a non-divisible shard count (50 / 7) and across
-/// several worker counts: every partition replays the serial oracle.
+/// several worker counts: every partition replays the one-shard run.
 #[test]
 fn fifty_uav_fleet_is_shard_count_invariant() {
     let serial = run(config(23, 50, ShardPolicy::Serial), 40);
@@ -273,12 +275,12 @@ fn watchdog_demotion_expires_and_restores_the_plan() {
     assert_runs_bit_identical(&serial, &sharded, "watchdog demotion, 8 UAVs");
 }
 
-/// The arena-build gate at fleet scale: a 96-UAV run pushes the inline
-/// small-vector collections (solve-class member lists, route tables,
-/// detection buffers) past their spill boundaries and keeps every
-/// solve-class batch full, so any divergence between the inline/spilled
-/// representations or the in-place CTMC rate rewrites would surface as a
-/// bit difference against the serial oracle.
+/// The inline-storage gate at fleet scale: a 96-UAV run pushes the
+/// inline small-vector collections (fault-tree gate operands, SINADRA
+/// factor storage and evidence sets) past their spill boundaries, so
+/// any divergence between the inline/spilled representations or the
+/// in-place CTMC rate rewrites would surface as a bit difference against
+/// the one-shard run.
 #[test]
 fn large_fleet_spilled_collections_match_serial_bit_for_bit() {
     let serial = run(config(53, 96, ShardPolicy::Serial), 25);
@@ -287,21 +289,32 @@ fn large_fleet_spilled_collections_match_serial_bit_for_bit() {
     assert_runs_bit_identical(&serial, &sharded, "96 UAVs, 6 shards");
 }
 
-/// The Auto policy stays serial for small fleets (the paper's 3-UAV demo
-/// pays no sharding overhead) and engages for large ones.
+/// The Auto policy stays on one shard for small fleets (the paper's
+/// 3-UAV demo pays no sharding overhead) and engages for large ones. The
+/// shard plan does not depend on the engine kind: the reference engines
+/// and the SESAME-off baseline shard too, and stay bit-identical to
+/// their one-shard runs.
 #[test]
 fn auto_policy_scales_with_fleet_size() {
     let small = Platform::new(config(5, 3, ShardPolicy::Auto));
-    assert_eq!(small.shard_count(), 1, "3 UAVs stay serial under Auto");
+    assert_eq!(
+        small.shard_count(),
+        1,
+        "3 UAVs stay on one shard under Auto"
+    );
     let large = Platform::new(config(5, 64, ShardPolicy::Auto));
     assert!(large.shard_count() >= 1);
-    // Sharding requires the fast path: the reference engines always run
-    // the serial oracle regardless of policy.
-    let mut cfg = config(5, 64, ShardPolicy::Fixed { shards: 4 });
-    cfg.eddi_fast_path = false;
-    assert_eq!(Platform::new(cfg).shard_count(), 1);
-    // ... and the SESAME stack: the baseline fleet has no EDDIs to batch.
-    let mut cfg = config(5, 64, ShardPolicy::Fixed { shards: 4 });
-    cfg.sesame_enabled = false;
-    assert_eq!(Platform::new(cfg).shard_count(), 1);
+    let reference: fn(&mut PlatformConfig) = |cfg| cfg.eddi_fast_path = false;
+    let baseline: fn(&mut PlatformConfig) = |cfg| cfg.sesame_enabled = false;
+    for (name, tweak) in [("reference engines", reference), ("baseline", baseline)] {
+        let plan = |policy| {
+            let mut cfg = config(5, 12, policy);
+            tweak(&mut cfg);
+            cfg
+        };
+        let one = run(plan(ShardPolicy::Serial), 80);
+        let four = run(plan(ShardPolicy::Fixed { shards: 4 }), 80);
+        assert_eq!(four.shard_count(), 4, "{name} must shard");
+        assert_runs_bit_identical(&one, &four, &format!("12 UAVs, 4 shards, {name}"));
+    }
 }

@@ -19,20 +19,6 @@ fn config(seed: u64) -> PlatformConfig {
     }
 }
 
-/// The deprecated `uav_count` builder shim produces a config identical
-/// to the `FleetSpec::uniform` it forwards to.
-#[test]
-fn uav_count_shim_matches_uniform_fleet() {
-    #[allow(deprecated)]
-    let shimmed = PlatformConfig::builder().uav_count(3).build().unwrap();
-    let spec = PlatformConfig::builder()
-        .fleet(FleetSpec::uniform(3))
-        .build()
-        .unwrap();
-    assert_eq!(shimmed.fleet, spec.fleet);
-    assert_eq!(shimmed.fleet, FleetSpec::default());
-}
-
 /// A hexacopter fleet flies through a motor failure without losing the
 /// airframe or the strip — no redistribution needed.
 #[test]
