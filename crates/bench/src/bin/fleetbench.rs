@@ -15,7 +15,9 @@
 //! exactly that; `--json PATH` writes a copy. Per fleet size the report
 //! carries whole-platform ticks per second, the per-UAV normalization
 //! (`uav_ticks_per_sec` — flat means linear scaling of the per-UAV
-//! phases; the O(n²) airspace scan bends it at the top end), the shard
+//! phases; the nearest-teammate scan still visits every pair, but a
+//! chord bound skips the haversine for almost all of them, so it bends
+//! the curve far less at the top end), the shard
 //! count actually used, the sharded-over-serial speedup, and the heap
 //! allocations per tick inside the timed span (counting allocator). The
 //! summary keys are the largest fleet's numbers and come first, which is

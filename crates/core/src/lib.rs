@@ -18,6 +18,9 @@
 //!   replaced by headless snapshots — see DESIGN.md);
 //! * [`orchestrator`] — the closed loop: simulate → sense → publish →
 //!   monitor → certify → decide → actuate;
+//! * [`airspace`] — the separation geometry of the airspace pass: the
+//!   chord-bounded nearest-teammate scan and the tabulated
+//!   separation-risk network;
 //! * [`fleet`] — fleet composition ([`fleet::FleetSpec`]: per-profile
 //!   UAV groups) and the shard policy that partitions the tick;
 //! * [`shard`] — the deterministic std-only worker pool the sharded
@@ -49,6 +52,7 @@
 //! assert!(outcome.metrics.mission_completed_fraction > 0.9);
 //! ```
 
+pub mod airspace;
 pub mod chaos;
 pub mod checkpoint;
 pub mod coengineering;

@@ -14,6 +14,7 @@
 //! "abort on first symptom" policy of §V-A and attacks are not handled at
 //! all.
 
+use crate::airspace::{chord_teammates, nearest_teammate, SeparationTable};
 use crate::containment::{
     panic_message, ComputeFaultPlane, FaultPhase, QuarantineCell, TickWatchdog, UavFault,
 };
@@ -46,9 +47,9 @@ use sesame_sar::accuracy::{AltitudeDecision, AltitudePolicy};
 use sesame_security::catalog as attack_catalog;
 use sesame_security::eddi::SecurityEddi;
 use sesame_security::ids::{Ids, IdsConfig};
-use sesame_sinadra::risk::{SeparationInputs, SeparationRiskModel};
+use sesame_sinadra::risk::SeparationRiskModel;
 use sesame_types::events::{EventLog, Severity, SystemEvent};
-use sesame_types::geo::GeoPoint;
+use sesame_types::geo::{ChordPoint, GeoPoint};
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::{FlightMode, UavTelemetry};
 use sesame_types::time::{SimDuration, SimTime};
@@ -578,8 +579,9 @@ struct TickScratch {
     det_events: Vec<SystemEvent>,
     /// Per-UAV results of the shard fan-outs (see [`UavSlot`]).
     slots: Vec<UavSlot>,
-    /// Airspace pass: quarantine excision mask.
-    quarantined: Vec<bool>,
+    /// Airspace pass: each UAV's unit-sphere point and altitude, `None`
+    /// when it is not a teammate this tick (grounded or quarantined).
+    teammates: Vec<Option<ChordPoint>>,
     /// ConSert pass: this tick's per-UAV actions.
     actions: Vec<UavAction>,
 }
@@ -663,7 +665,8 @@ pub struct Platform {
     attack_detected_at: Option<SimTime>,
     current_scan_alt: f64,
     geofences: Vec<GeofenceMonitor>,
-    separation: SeparationRiskModel,
+    /// The separation-risk network, solved once per geometry class.
+    separation_table: SeparationTable,
     separation_hot: Vec<bool>,
     metrics: MetricsRegistry,
     trace: TraceLog,
@@ -694,6 +697,8 @@ pub struct Platform {
     /// fleet size is fixed at construction, so formatting these once
     /// keeps the hot tick free of `format!` allocations.
     eddi_eval_keys: Vec<String>,
+    /// Cached telemetry publish senders, indexed by UAV: `node:{id}`.
+    node_senders: Vec<String>,
     /// Cached metric keys, indexed by UAV: `supervision.state.uav{i}`.
     supervision_state_keys: Vec<String>,
     /// Cached `UavId` display names, indexed by UAV (the reference
@@ -836,6 +841,7 @@ impl Platform {
         let shards = shard_ranges(n, config.fleet.shard_policy().shard_count(n));
         let watchdog = TickWatchdog::new(n, config.supervision.watchdog_trip_after);
         let eddi_eval_keys = (0..n).map(|i| format!("eddi.evals.uav{i}")).collect();
+        let node_senders = ids_list.iter().map(|id| format!("node:{id}")).collect();
         let supervision_state_keys = (0..n)
             .map(|i| format!("supervision.state.uav{i}"))
             .collect();
@@ -870,7 +876,7 @@ impl Platform {
             attack_detected_at: None,
             current_scan_alt,
             geofences,
-            separation: SeparationRiskModel::new(),
+            separation_table: SeparationTable::new(&SeparationRiskModel::new()),
             separation_hot,
             metrics: MetricsRegistry::new(),
             trace: TraceLog::default(),
@@ -891,6 +897,7 @@ impl Platform {
                 ..TickScratch::default()
             },
             eddi_eval_keys,
+            node_senders,
             supervision_state_keys,
             uav_names,
         }
@@ -1221,13 +1228,13 @@ impl Platform {
         // drain failure would be a wiring bug — but under chaos testing
         // the platform must degrade, not die: count it, trace it, and
         // run the tick with an empty batch.
-        let tapped = self.drain_or_degrade(self.ids_tap, "ids_tap", now);
+        let tapped = self.drain_or_degrade(self.ids_tap, format_args!("ids_tap"), now);
         // Telemetry-staleness watchdog: any telemetry that actually
         // survived the lossy bus refreshes its UAV's supervisor.
         if self.config.supervision.enabled {
             for msg in &tapped {
                 if let Payload::Telemetry(tel) = &msg.payload {
-                    if let Some(idx) = self.uavs.iter().position(|u| u.handle.id() == tel.uav) {
+                    if let Some(idx) = self.uav_index(tel.uav) {
                         self.supervisors[idx].record_telemetry(now);
                     }
                 }
@@ -1273,7 +1280,7 @@ impl Platform {
         // signs; a stock deployment applies everything (the §V-C hole).
         for i in 0..n {
             let sub = self.cmd_subs[i];
-            let msgs = self.drain_or_degrade(sub, &format!("cmd_sub.uav{i}"), now);
+            let msgs = self.drain_or_degrade(sub, format_args!("cmd_sub.uav{i}"), now);
             let handle = self.uavs[i].handle;
             for msg in msgs {
                 if let Some(auth) = &self.auth {
@@ -1355,7 +1362,7 @@ impl Platform {
             if self.attack_detected_at.is_none() {
                 self.attack_detected_at = Some(now);
             }
-            if let Some(idx) = self.uavs.iter().position(|u| u.handle.id() == id) {
+            if let Some(idx) = self.uav_index(id) {
                 if !self.uavs[idx].attack_detected {
                     self.uavs[idx].attack_detected = true;
                     if self.config.sesame_enabled {
@@ -1461,12 +1468,22 @@ impl Platform {
         now
     }
 
+    /// The fleet index of UAV `id`, or `None` when no UAV has that id
+    /// (forged or corrupt telemetry). UAV `k` has id `k + 1` (see
+    /// `UavHandle::id`), so this is a bounds check, not a search.
+    fn uav_index(&self, id: UavId) -> Option<usize> {
+        let k = (id.index() as usize).checked_sub(1)?;
+        (self.uavs.get(k)?.handle.id() == id).then_some(k)
+    }
+
     /// Drains a subscription, downgrading a [`sesame_middleware::bus::BusError`]
     /// from a panic to a counted, traced degradation with an empty batch.
+    /// `context` names the subscription in the metric and trace; it is
+    /// only formatted on that error path.
     fn drain_or_degrade(
         &mut self,
         sub: Subscription,
-        context: &str,
+        context: std::fmt::Arguments<'_>,
         now: SimTime,
     ) -> Vec<Arc<Message>> {
         match self.bus.drain(sub) {
@@ -1504,12 +1521,16 @@ impl Platform {
     ) {
         let id = tel.uav;
 
-        // Telemetry onto the bus and into the database.
+        // Telemetry onto the bus and into the database. The sender name
+        // is lent out of its cache for the call (`publish` needs all of
+        // `self`), so no string is built per tick.
+        let sender = std::mem::take(&mut self.node_senders[i]);
         self.publish(
-            &format!("node:{id}"),
+            &sender,
             format!("/{id}/telemetry"),
             Payload::Telemetry(tel.clone()),
         );
+        self.node_senders[i] = sender;
         self.db
             .store_location(id, now, tel.gps.position, tel.battery_soc);
         self.manager.update_battery(id, tel.battery_soc);
@@ -1819,10 +1840,10 @@ impl Platform {
         span.enter(phase::SENSE_PUBLISH);
     }
 
-    /// The airspace pass: the O(n²) nearest-teammate proximity scan is a
-    /// pure function of this tick's telemetry, so it fans out over the
-    /// shard plan; geofence updates, risk assessments and their events
-    /// then merge serially in fleet order.
+    /// The airspace pass: the nearest-teammate scan (see
+    /// [`crate::airspace`]) is a pure function of this tick's telemetry,
+    /// so it fans out over the shard plan; geofence updates, risk
+    /// assessments and their events then merge serially in fleet order.
     fn step_airspace(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
         let n = telemetries.len();
         let sesame = self.config.sesame_enabled;
@@ -1830,36 +1851,18 @@ impl Platform {
         // subject and as teammate (its telemetry may be the corrupt
         // readings that faulted it); the geofence — which watches true
         // position — keeps running.
-        let mut quarantined = std::mem::take(&mut self.scratch.quarantined);
-        quarantined.clear();
-        quarantined.extend(self.uavs.iter().map(|u| u.quarantine.is_some()));
+        let mut teammates = std::mem::take(&mut self.scratch.teammates);
+        chord_teammates(
+            telemetries,
+            |j| self.uavs[j].quarantine.is_some(),
+            &mut teammates,
+        );
         let mut slots = std::mem::take(&mut self.scratch.slots);
         slots.resize_with(n, UavSlot::default);
-        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, _, slot| {
-            let tel = &telemetries[i];
-            if !(sesame && tel.mode == FlightMode::Mission) || quarantined[i] {
-                return;
+        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, rt, slot| {
+            if sesame && telemetries[i].mode == FlightMode::Mission && rt.quarantine.is_none() {
+                slot.proximity = nearest_teammate(i, telemetries, &teammates);
             }
-            // Nearest airborne teammate and closing geometry.
-            let mut nearest = f64::INFINITY;
-            let mut converging = false;
-            for j in 0..n {
-                if j == i || quarantined[j] || !telemetries[j].mode.is_airborne() {
-                    continue;
-                }
-                let d = tel
-                    .true_position
-                    .distance_3d_m(&telemetries[j].true_position);
-                if d < nearest {
-                    nearest = d;
-                    // Converging when the relative velocity points at the
-                    // teammate.
-                    let rel = telemetries[j].true_position.to_enu(&tel.true_position);
-                    let rel_v = tel.velocity - telemetries[j].velocity;
-                    converging = rel_v.dot(&rel.into()) > 0.0;
-                }
-            }
-            slot.proximity = nearest.is_finite().then_some((nearest, converging));
         });
         for i in 0..n {
             let tel = &telemetries[i];
@@ -1883,13 +1886,12 @@ impl Platform {
                 self.assess_separation(i, tel, nearest, converging, now);
             }
         }
-        self.scratch.quarantined = quarantined;
+        self.scratch.teammates = teammates;
         self.scratch.slots = slots;
     }
 
-    /// Runs the SINADRA separation assessment for one UAV against its
-    /// precomputed nearest-teammate geometry and emits the rising-edge
-    /// warning event.
+    /// Looks up the SINADRA separation assessment for one UAV's
+    /// nearest-teammate geometry and emits the rising-edge warning event.
     fn assess_separation(
         &mut self,
         i: usize,
@@ -1898,11 +1900,7 @@ impl Platform {
         converging: bool,
         now: SimTime,
     ) {
-        let assessment = self.separation.assess(&SeparationInputs {
-            nearest_range_m: nearest,
-            converging,
-            detection_confidence: 0.9,
-        });
+        let assessment = self.separation_table.lookup(nearest, converging);
         if assessment.hold_advised && !self.separation_hot[i] {
             self.separation_hot[i] = true;
             self.events.push(
@@ -2455,7 +2453,7 @@ impl Platform {
                         self.events
                             .push(now, SystemEvent::TaskReallocated { task, from, to });
                         // Upload the inherited route to the new owner.
-                        if let Some(j) = self.uavs.iter().position(|u| u.handle.id() == to) {
+                        if let Some(j) = self.uav_index(to) {
                             let route = self.tasks.remaining_route(to);
                             self.upload_route(j, route);
                         }
@@ -2650,6 +2648,34 @@ mod tests {
             person_count: 3,
             ..PlatformConfig::default()
         }
+    }
+
+    #[test]
+    fn telemetry_naming_an_unknown_uav_is_ignored() {
+        let mut p = Platform::new(quick_config());
+        assert_eq!(p.uav_index(UavId::new(1)), Some(0));
+        assert_eq!(p.uav_index(UavId::new(3)), Some(2));
+        let ghosts = [0, 4, u32::MAX].map(UavId::new);
+        for ghost in ghosts {
+            assert_eq!(p.uav_index(ghost), None, "{ghost}");
+        }
+        // Forged telemetry for those ids reaches the staleness watchdog,
+        // which must skip it rather than index past the fleet.
+        p.launch();
+        for _ in 0..5 {
+            for ghost in ghosts {
+                let now = p.now();
+                let tel = UavTelemetry::nominal(ghost, now, Platform::origin());
+                p.bus_mut().publish(
+                    now,
+                    "node:ghost",
+                    format!("/{ghost}/telemetry"),
+                    Payload::Telemetry(tel),
+                );
+            }
+            p.step();
+        }
+        assert!((0..3).all(|i| p.health(i) == HealthState::Nominal));
     }
 
     #[test]

@@ -180,6 +180,11 @@ impl Default for SarRiskModel {
     }
 }
 
+/// Range, in metres, under which [`SeparationRiskModel::assess`] counts
+/// the nearest UAV as "near". The model reads the range only through
+/// `nearest_range_m < NEAR_RANGE_M`.
+pub const NEAR_RANGE_M: f64 = 50.0;
+
 /// Inputs to the separation (mid-air collision) risk model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeparationInputs {
@@ -250,12 +255,16 @@ impl SeparationRiskModel {
         }
     }
 
-    /// Assesses the situation. Ranges under 50 m count as "near".
+    /// Assesses the situation. Ranges under [`NEAR_RANGE_M`] count as
+    /// "near".
     pub fn assess(&self, inputs: &SeparationInputs) -> SeparationAssessment {
         let id = |n: &str| self.bn.variable_id(n).expect("known variable");
         let conf = inputs.detection_confidence.clamp(0.0, 1.0);
         let mut ev = Evidence::new()
-            .observe(id("proximity"), usize::from(inputs.nearest_range_m < 50.0))
+            .observe(
+                id("proximity"),
+                usize::from(inputs.nearest_range_m < NEAR_RANGE_M),
+            )
             .observe(id("converging"), usize::from(inputs.converging));
         if conf > 0.0 {
             ev = ev.likelihood_slice(id("intruder"), &[1.0 - conf, conf]);

@@ -154,6 +154,60 @@ impl fmt::Display for GeoPoint {
     }
 }
 
+/// Absolute part of the margin [`ChordPoint::distance_lower_bound_m`]
+/// subtracts: one micrometre, about a thousand times the ~1e-9 m that
+/// rounding moves either the chord or the haversine arc by at earth
+/// radius (a few ulps of a unit-scale coordinate, times `EARTH_RADIUS_M`).
+pub const CHORD_MARGIN_M: f64 = 1e-6;
+
+/// Relative part of the same margin: one part in 10⁹, a million times
+/// the few-ulp relative rounding of the final square roots, so very
+/// long ranges and large altitude gaps stay covered as well.
+pub const CHORD_MARGIN_REL: f64 = 1e-9;
+
+/// A [`GeoPoint`] reduced to its unit-sphere vector
+/// `(cos φ cos λ, cos φ sin λ, sin φ)` and altitude, so that a lower
+/// bound on [`GeoPoint::distance_3d_m`] costs no trigonometry.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ChordPoint {
+    unit: [f64; 3],
+    alt_m: f64,
+}
+
+impl ChordPoint {
+    /// Projects `p` onto the unit sphere, keeping its altitude.
+    pub fn new(p: &GeoPoint) -> Self {
+        let (sin_lat, cos_lat) = p.lat_deg.to_radians().sin_cos();
+        let (sin_lon, cos_lon) = p.lon_deg.to_radians().sin_cos();
+        ChordPoint {
+            unit: [cos_lat * cos_lon, cos_lat * sin_lon, sin_lat],
+            alt_m: p.alt_m,
+        }
+    }
+
+    /// A lower bound on `a.distance_3d_m(&b)` for the points `self` and
+    /// `other` were built from: `sqrt((R·|pₐ − p_b|)² + Δalt²)`, reduced
+    /// by `CHORD_MARGIN_REL` of itself plus `CHORD_MARGIN_M`.
+    ///
+    /// A chord is never longer than its arc (`2R·sin(θ/2) ≤ R·θ`), so
+    /// the unreduced value is at most the exact 3-D distance; the margin
+    /// covers the rounding of both formulas. Near the antipodes, where
+    /// the haversine's `asin` loses precision, the chord is shorter than
+    /// the arc by about `(π − 2)·R`. A non-finite coordinate on either
+    /// side makes the bound NaN, which compares as "no bound".
+    pub fn distance_lower_bound_m(&self, other: &ChordPoint) -> f64 {
+        let [dx, dy, dz] = [
+            self.unit[0] - other.unit[0],
+            self.unit[1] - other.unit[1],
+            self.unit[2] - other.unit[2],
+        ];
+        let chord = EARTH_RADIUS_M * (dx * dx + dy * dy + dz * dz).sqrt();
+        let dalt = other.alt_m - self.alt_m;
+        let bound = (chord * chord + dalt * dalt).sqrt();
+        bound - (CHORD_MARGIN_REL * bound + CHORD_MARGIN_M)
+    }
+}
+
 fn normalize_lon(lon: f64) -> f64 {
     let mut l = lon;
     while l > 180.0 {

@@ -1,12 +1,41 @@
 //! Property tests of the geodesy primitives.
 
 use proptest::prelude::*;
-use sesame_types::geo::{Enu, GeoPoint, Vec3};
+use sesame_types::geo::{ChordPoint, Enu, GeoPoint, Vec3};
 use sesame_types::time::{SimDuration, SimTime};
 
 fn point() -> impl Strategy<Value = GeoPoint> {
     (-70.0..70.0f64, -179.0..179.0f64, 0.0..200.0f64)
         .prop_map(|(lat, lon, alt)| GeoPoint::new(lat, lon, alt))
+}
+
+/// Anywhere on earth, poles and antimeridian included.
+fn worldwide() -> impl Strategy<Value = GeoPoint> {
+    prop_oneof![
+        (-90.0..90.0f64, -180.0..180.0f64, 0.0..10_000.0f64)
+            .prop_map(|(lat, lon, alt)| GeoPoint::new(lat, lon, alt)),
+        (0usize..4, -180.0..180.0f64, 0.0..200.0f64).prop_map(|(k, lon, alt)| {
+            let lat = [90.0, -90.0, 89.999_999_9, -89.999_999_9][k];
+            GeoPoint::new(lat, lon, alt)
+        }),
+        (-90.0..90.0f64, 0usize..4, 0.0..200.0f64).prop_map(|(lat, k, alt)| {
+            let lon = [180.0, -180.0, 179.999_999_9, -179.999_999_9][k];
+            GeoPoint::new(lat, lon, alt)
+        }),
+    ]
+}
+
+/// The margin-reduced chord bound of `a` and `b` is at most their 3-D
+/// distance (vacuous when the haversine itself is NaN).
+fn chord_bound_holds(a: &GeoPoint, b: &GeoPoint) -> Result<(), TestCaseError> {
+    let bound = ChordPoint::new(a).distance_lower_bound_m(&ChordPoint::new(b));
+    let d = a.distance_3d_m(b);
+    prop_assert!(bound.is_finite(), "bound {bound} for {a} / {b}");
+    prop_assert!(
+        bound <= d || d.is_nan(),
+        "bound {bound} > distance {d} for {a} / {b}"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -44,6 +73,32 @@ proptest! {
         let d3 = a.distance_3d_m(&b);
         prop_assert!(d3 >= a.haversine_distance_m(&b) - 1e-9);
         prop_assert!(d3 >= (a.alt_m - b.alt_m).abs() - 1e-9);
+    }
+
+    /// The chord bound never exceeds the distance, for pairs anywhere
+    /// on earth (antipodal ones included).
+    #[test]
+    fn chord_bound_worldwide(a in worldwide(), b in worldwide(), flip in 0usize..2) {
+        chord_bound_holds(&a, &b)?;
+        // The near-antipode of `a`, where the haversine's `asin` is
+        // least precise.
+        let anti = GeoPoint::new(-a.lat_deg, a.lon_deg - 180.0 + 1e-6 * flip as f64, b.alt_m);
+        chord_bound_holds(&a, &anti)?;
+    }
+
+    /// The chord bound never exceeds the distance for pairs under a
+    /// millimetre apart, where both formulas' rounding is largest
+    /// relative to the range.
+    #[test]
+    fn chord_bound_sub_millimetre(
+        a in worldwide(),
+        dlat in -4e-9..4e-9f64,
+        dlon in -4e-9..4e-9f64,
+        dalt in -5e-4..5e-4f64,
+    ) {
+        let b = GeoPoint::new((a.lat_deg + dlat).clamp(-90.0, 90.0), a.lon_deg + dlon, a.alt_m + dalt);
+        chord_bound_holds(&a, &b)?;
+        chord_bound_holds(&a, &a)?;
     }
 
     /// ENU offsets add linearly: applying (u then v) equals applying u+v.

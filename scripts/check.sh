@@ -73,7 +73,10 @@ cargo run -q --release -p sesame-bench --bin scenario -- smoke scenarios/*.sesam
 echo "==> scenario DSL fuzz: parser/compiler never panic, spans stay in range, print is a parse fixed point (2048 cases/property)"
 SESAME_FUZZ_CASES=2048 cargo test -q -p sesame-scenario-dsl --test fuzz
 
+echo "==> airspace oracle: the chord-pruned nearest-teammate scan must match the brute-force haversine scan bit for bit (2048 cases)"
+SESAME_FUZZ_CASES=2048 cargo test -q --release -p sesame-core --test airspace_oracle
+
 echo "==> bench gate: fresh numbers vs committed baselines (>20% regression fails)"
 scripts/bench_gate.sh
 
-echo "OK: build, tests, clippy, fmt, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite and the bench gate all green"
+echo "OK: build, tests, clippy, fmt, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite, the airspace oracle and the bench gate all green"
