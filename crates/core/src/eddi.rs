@@ -11,8 +11,8 @@
 //! This is the **incremental fast path**: the SafeDrones Markov solver
 //! memoizes its rate-matrix profile, the SafeML monitor presorts its
 //! reference columns and fuses dissimilarity + verdict into one pass, and
-//! the SINADRA network caches reduced factor products and memoizes full
-//! assessments. Every layer is bit-identical to the naive computation —
+//! the SINADRA network memoizes full assessments and answers misses by
+//! replaying query tapes compiled once per process. Every layer is bit-identical to the naive computation —
 //! [`crate::reference::ReferenceEddiRuntime`] keeps that naive path alive
 //! and the conformance suite locksteps the two.
 
@@ -32,7 +32,7 @@ use sesame_types::time::{SimDuration, SimTime};
 use sesame_vision::features::{FeatureExtractor, SceneCondition};
 
 /// Aggregated cache counters of one EDDI runtime: the SafeDrones solver
-/// profile cache plus both SINADRA layers. The orchestrator folds the
+/// profile cache plus the SINADRA counters. The orchestrator folds the
 /// per-UAV ConSert fingerprint cache on top and mirrors the totals as the
 /// `eddi.cache.hit` / `eddi.cache.miss` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -233,7 +233,7 @@ impl UavEddiRuntime {
     }
 
     /// Aggregated cache counters: SafeDrones solver profile cache plus
-    /// both SINADRA cache layers.
+    /// the SINADRA memo and flags counters (`BnCacheStats::hits`).
     pub fn cache_stats(&self) -> EddiCacheStats {
         let solver = self.safedrones.solver_cache_stats();
         let bn = self.sinadra.stats();

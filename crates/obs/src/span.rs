@@ -45,6 +45,21 @@ pub fn phase_metric(name: &str) -> String {
     format!("tick.phase.{name}")
 }
 
+/// [`phase_metric`] of each of [`phase::ALL`], spelled out so
+/// [`TickSpan::finish`] observes without building a name.
+const PHASE_METRICS: [&str; 10] = [
+    "tick.phase.sim_step",
+    "tick.phase.sense_publish",
+    "tick.phase.eddi_eval",
+    "tick.phase.airspace",
+    "tick.phase.bus_step",
+    "tick.phase.security",
+    "tick.phase.cl_landing",
+    "tick.phase.consert_compose",
+    "tick.phase.decide",
+    "tick.phase.bookkeeping",
+];
+
 /// Name prefixes of every metric fed from the wall clock rather than
 /// simulation state (the phase timings this module flushes). Everything
 /// else in the registry is bit-deterministic under a fixed seed;
@@ -52,12 +67,17 @@ pub fn phase_metric(name: &str) -> String {
 /// (see `MetricsSnapshot::without_wall_clock`).
 pub const WALL_CLOCK_PREFIXES: [&str; 2] = ["tick.phase.", "tick.total"];
 
-/// A scoped, phase-segmented timer over one platform tick.
+/// A scoped, phase-segmented timer over one platform tick. Laps are
+/// summed per phase in a fixed array, so a tick's span allocates nothing.
 #[derive(Debug)]
 pub struct TickSpan {
     started: Instant,
-    current: Option<(&'static str, Instant)>,
-    laps: Vec<(&'static str, Duration)>,
+    /// The open phase (index into [`phase::ALL`]) and when it opened.
+    current: Option<(usize, Instant)>,
+    /// Closed time per phase, merged across repeat laps.
+    laps: [Duration; 10],
+    /// Which phases have closed at least one lap.
+    entered: [bool; 10],
 }
 
 impl TickSpan {
@@ -66,50 +86,50 @@ impl TickSpan {
         Self {
             started: Instant::now(),
             current: None,
-            laps: Vec::with_capacity(phase::ALL.len()),
+            laps: [Duration::ZERO; 10],
+            entered: [false; 10],
         }
     }
 
     /// Closes the previous phase (if any) and opens `name`. Re-entering
-    /// a name records a second lap; [`Self::finish`] merges them.
+    /// a name adds a second lap to the same phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not one of [`phase::ALL`].
     pub fn enter(&mut self, name: &'static str) {
+        let k = phase::ALL
+            .iter()
+            .position(|p| *p == name)
+            .unwrap_or_else(|| panic!("unknown tick phase {name:?}"));
         let now = Instant::now();
-        if let Some((prev, since)) = self.current.take() {
-            self.laps.push((prev, now.duration_since(since)));
-        }
-        self.current = Some((name, now));
+        self.close(now);
+        self.current = Some((k, now));
     }
 
     /// Closes the current phase without opening another — for gaps the
     /// loop doesn't want attributed to any phase.
     pub fn exit(&mut self) {
-        let now = Instant::now();
-        if let Some((prev, since)) = self.current.take() {
-            self.laps.push((prev, now.duration_since(since)));
+        self.close(Instant::now());
+    }
+
+    fn close(&mut self, now: Instant) {
+        if let Some((k, since)) = self.current.take() {
+            self.laps[k] += now.duration_since(since);
+            self.entered[k] = true;
         }
     }
 
-    /// Phases recorded so far (closed laps only), in entry order.
-    pub fn laps(&self) -> &[(&'static str, Duration)] {
-        &self.laps
-    }
-
     /// Closes any open phase and flushes one histogram observation per
-    /// phase (microseconds, merged across repeat laps) plus a
+    /// entered phase (microseconds, merged across repeat laps) plus a
     /// `tick.total` observation into `metrics`.
     pub fn finish(mut self, metrics: &mut MetricsRegistry) {
         self.exit();
         let total = self.started.elapsed();
-        // Merge repeat laps in-place, preserving first-entry order.
-        let mut merged: Vec<(&'static str, Duration)> = Vec::with_capacity(self.laps.len());
-        for (name, dur) in self.laps.drain(..) {
-            match merged.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, acc)) => *acc += dur,
-                None => merged.push((name, dur)),
+        for ((name, lap), entered) in PHASE_METRICS.iter().zip(self.laps).zip(self.entered) {
+            if entered {
+                metrics.observe(name, lap.as_secs_f64() * 1e6);
             }
-        }
-        for (name, dur) in merged {
-            metrics.observe(&phase_metric(name), dur.as_secs_f64() * 1e6);
         }
         metrics.observe("tick.total", total.as_secs_f64() * 1e6);
     }
@@ -149,9 +169,13 @@ mod tests {
         let mut span = TickSpan::start();
         span.enter(phase::SIM_STEP);
         span.exit();
-        assert_eq!(span.laps().len(), 1);
         span.finish(&mut m);
         assert_eq!(m.histogram("tick.phase.sim_step").unwrap().count(), 1);
+        assert_eq!(
+            m.snapshot().histograms.len(),
+            2,
+            "sim_step and tick.total only"
+        );
         // The gap after exit() belongs to no phase.
         assert!(m.histogram("tick.total").is_some());
     }
@@ -160,5 +184,14 @@ mod tests {
     fn phase_list_matches_metric_names() {
         assert_eq!(phase::ALL[0], phase::SIM_STEP);
         assert_eq!(phase_metric(phase::DECIDE), "tick.phase.decide");
+        for (name, metric) in phase::ALL.iter().zip(PHASE_METRICS) {
+            assert_eq!(phase_metric(name), metric);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown tick phase")]
+    fn unknown_phase_is_rejected() {
+        TickSpan::start().enter("warp_drive");
     }
 }

@@ -24,7 +24,7 @@ const VARS_INLINE: usize = 4;
 /// all-binary scope).
 const VALUES_INLINE: usize = 16;
 
-type Vars = InlineVec<(usize, usize), VARS_INLINE>;
+pub(crate) type Vars = InlineVec<(usize, usize), VARS_INLINE>;
 type Values = InlineVec<f64, VALUES_INLINE>;
 type Strides = InlineVec<usize, VARS_INLINE>;
 
@@ -36,6 +36,104 @@ fn strides_of(vars: &[(usize, usize)]) -> Strides {
         s[i] = s[i + 1] * vars[i + 1].1;
     }
     s
+}
+
+/// The index walk of a product φ·ψ: the product's scope and, for every
+/// product entry in row-major order, the φ and ψ entries it multiplies.
+/// [`Factor::product`] and the compiled-query recorder
+/// (`crate::inference`) both consume this one plan, so a recorded tape
+/// multiplies exactly the pairs the `f64` product does, in its order.
+pub(crate) struct ProductPlan {
+    /// The product's scope: the sorted union of both scopes.
+    pub(crate) vars: Vars,
+    /// Row-major strides of `vars`.
+    strides: Strides,
+    /// Per position of `vars`, its stride in φ (0 when φ lacks it).
+    left: Strides,
+    /// Per position of `vars`, its stride in ψ (0 when ψ lacks it).
+    right: Strides,
+}
+
+impl ProductPlan {
+    pub(crate) fn new(left: &[(usize, usize)], right: &[(usize, usize)]) -> Self {
+        let mut vars = Vars::new();
+        vars.extend_from_slice(left);
+        for (v, c) in right {
+            if !vars.iter().any(|(uv, _)| uv == v) {
+                vars.push((*v, *c));
+            }
+        }
+        vars.sort_unstable();
+        let strides_in = |scope: &[(usize, usize)]| -> Strides {
+            let own = strides_of(scope);
+            vars.iter()
+                .map(|(v, _)| {
+                    scope
+                        .iter()
+                        .position(|(sv, _)| sv == v)
+                        .map_or(0, |i| own[i])
+                })
+                .collect()
+        };
+        let (left, right) = (strides_in(left), strides_in(right));
+        ProductPlan {
+            strides: strides_of(&vars),
+            vars,
+            left,
+            right,
+        }
+    }
+
+    /// `(φ index, ψ index)` for each product entry, in row-major order.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let total: usize = self.vars.iter().map(|(_, c)| c).product();
+        (0..total).map(move |flat| {
+            let (mut a, mut b) = (0, 0);
+            for (i, st) in self.strides.iter().enumerate() {
+                let state = (flat / st) % self.vars[i].1;
+                a += state * self.left[i];
+                b += state * self.right[i];
+            }
+            (a, b)
+        })
+    }
+}
+
+/// The index walk of summing one variable out of a factor: the result's
+/// scope and length, and the result entry each source entry adds into.
+/// Shared by [`Factor::marginalize`] and the compiled-query recorder,
+/// which both start every result entry at `0.0` and add the source
+/// entries in index order.
+pub(crate) struct MarginalPlan {
+    /// The result's scope: the source scope without the summed variable.
+    pub(crate) vars: Vars,
+    /// Number of result entries.
+    pub(crate) len: usize,
+    /// Stride of the summed variable in the source.
+    stride: usize,
+    /// `stride` times the summed variable's cardinality.
+    block: usize,
+}
+
+impl MarginalPlan {
+    /// `None` when `scope` does not mention `var` (nothing to sum out).
+    pub(crate) fn new(scope: &[(usize, usize)], var: usize) -> Option<Self> {
+        let pos = scope.iter().position(|(v, _)| *v == var)?;
+        let stride = strides_of(scope)[pos];
+        let vars: Vars = scope.iter().copied().filter(|(v, _)| *v != var).collect();
+        let len = vars.iter().map(|(_, c)| c).product::<usize>().max(1);
+        Some(MarginalPlan {
+            vars,
+            len,
+            stride,
+            block: stride * scope[pos].1,
+        })
+    }
+
+    /// The result entry source entry `idx` adds into.
+    pub(crate) fn target(&self, idx: usize) -> usize {
+        (idx / self.block) * self.stride + idx % self.stride
+    }
 }
 
 /// A factor φ(X₁, …, Xₖ) over discrete variables.
@@ -212,43 +310,13 @@ impl Factor {
 
     /// Pointwise product φ·ψ over the union of variables.
     pub fn product(&self, other: &Factor) -> Factor {
-        // Union of vars (both sorted).
-        let mut union: Vars = Vars::new();
-        union.extend_from_slice(&self.vars);
-        for (v, c) in &other.vars {
-            if !union.iter().any(|(uv, _)| uv == v) {
-                union.push((*v, *c));
-            }
-        }
-        union.sort_unstable();
-        let total: usize = union.iter().map(|(_, c)| c).product();
-        let u_strides = strides_of(&union);
-        // Strides hoisted out of the flat loop (the historical closure
-        // recomputed them per index; pure indexing, same products).
-        let self_strides = self.strides();
-        let other_strides = other.strides();
-        let map_index = |f: &Factor, fs: &Strides, assignment: &[usize]| -> usize {
-            let mut idx = 0;
-            for (i, (v, _)) in f.vars.iter().enumerate() {
-                let pos = union.iter().position(|(uv, _)| uv == v).expect("in union");
-                idx += assignment[pos] * fs[i];
-            }
-            idx
-        };
-        let mut values = Values::new();
-        let mut assignment: InlineVec<usize, VARS_INLINE> =
-            std::iter::repeat_n(0usize, union.len()).collect();
-        for flat in 0..total {
-            for (i, st) in u_strides.iter().enumerate() {
-                assignment[i] = (flat / st) % union[i].1;
-            }
-            values.push(
-                self.values[map_index(self, &self_strides, &assignment)]
-                    * other.values[map_index(other, &other_strides, &assignment)],
-            );
-        }
+        let plan = ProductPlan::new(&self.vars, &other.vars);
+        let values = plan
+            .pairs()
+            .map(|(a, b)| self.values[a] * other.values[b])
+            .collect();
         Factor {
-            vars: union,
+            vars: plan.vars,
             values,
         }
     }
@@ -256,29 +324,15 @@ impl Factor {
     /// Sums out variable `var`. If the factor does not mention `var`, the
     /// factor is returned unchanged.
     pub fn marginalize(&self, var: usize) -> Factor {
-        let Some(pos) = self.vars.iter().position(|(v, _)| *v == var) else {
+        let Some(plan) = MarginalPlan::new(&self.vars, var) else {
             return self.clone();
         };
-        let card = self.vars[pos].1;
-        let strides = self.strides();
-        let stride = strides[pos];
-        let new_vars: Vars = self
-            .vars
-            .iter()
-            .copied()
-            .filter(|(v, _)| *v != var)
-            .collect();
-        let total: usize = new_vars.iter().map(|(_, c)| c).product::<usize>().max(1);
-        let mut values: Values = std::iter::repeat_n(0.0, total).collect();
-        // Walk the original table; project each index.
-        let block = stride * card;
+        let mut values: Values = std::iter::repeat_n(0.0, plan.len).collect();
         for (idx, &val) in self.values.iter().enumerate() {
-            let outer = idx / block;
-            let inner = idx % stride;
-            values[outer * stride + inner] += val;
+            values[plan.target(idx)] += val;
         }
         Factor {
-            vars: new_vars,
+            vars: plan.vars,
             values,
         }
     }

@@ -6,16 +6,21 @@
 //! dissimilarity of 0.93 becomes the likelihood `[0.07, 0.93]` on the
 //! detection-uncertainty variable instead of a brittle threshold.
 //!
-//! Evidence and the elimination loop use inline storage
-//! ([`InlineVec`], see DESIGN.md § "Hot-loop memory discipline"): with a
-//! warm [`VeScratch`], [`query_with_reduced_in`] performs zero heap
-//! allocations for the SAR/separation risk networks. The naive [`query`]
-//! keeps its allocating `Vec<f64>` interface and is the bit-identity
-//! oracle for the scratch path.
+//! [`query`] runs one elimination per call. A caller that asks the same
+//! question many times with the same hard evidence and a changing
+//! likelihood compiles it once instead (`compile_query`): the
+//! elimination runs over tape slots rather than values and records every
+//! multiplication and addition it would perform, in order. Replaying the
+//! tape is then a few dozen flat `f64` operations with no allocation, no
+//! index arithmetic and no name lookup, and its result is bit-identical to
+//! [`query`]'s because both walk the one elimination (`eliminate`) and
+//! the one product and marginal index plan (`crate::factor`). The SAR
+//! risk model's cache (`crate::incremental`) is the consumer.
 
 use crate::bn::BayesianNetwork;
-use crate::factor::Factor;
+use crate::factor::{Factor, MarginalPlan, ProductPlan};
 use sesame_types::inline::InlineVec;
+use std::ops::Range;
 
 /// Inline capacity for hard observations in one query's evidence.
 const HARD_INLINE: usize = 8;
@@ -166,6 +171,99 @@ pub fn query(
         p[*state] = 1.0;
         return Ok(p);
     }
+    let mut factors = evidence_factors(bn, evidence)?;
+
+    // Eliminate every variable except the query (evidence vars are already
+    // reduced out of scopes; eliminating them is a no-op).
+    let hard_vars: Vec<usize> = evidence.hard.iter().map(|(v, _)| *v).collect();
+    let joint = eliminate(&mut Exact, n, query_var, &hard_vars, &mut factors);
+    if joint.sum() <= 0.0 {
+        return Err(InferenceError::ImpossibleEvidence);
+    }
+    let posterior = joint.normalized();
+    // The posterior must be exactly over the query variable.
+    debug_assert_eq!(posterior.vars(), &[(query_var, bn.cardinality(query_var))]);
+    Ok(posterior.values().to_vec())
+}
+
+/// The factor operations variable elimination performs. [`Factor`]
+/// implements them over `f64` ([`Exact`]); [`Recorder`] implements them
+/// over tape slots, writing each multiplication and addition down
+/// instead of performing it. [`eliminate`] is generic over both, so a
+/// compiled tape is the `f64` elimination's own operation sequence.
+trait VeAlgebra {
+    type Factor;
+    fn scope(f: &Self::Factor) -> &[(usize, usize)];
+    fn identity(&mut self) -> Self::Factor;
+    fn product(&mut self, a: &Self::Factor, b: &Self::Factor) -> Self::Factor;
+    fn marginalize(&mut self, f: &Self::Factor, var: usize) -> Self::Factor;
+}
+
+/// The `f64` algebra: the factor operations themselves.
+struct Exact;
+
+impl VeAlgebra for Exact {
+    type Factor = Factor;
+
+    fn scope(f: &Factor) -> &[(usize, usize)] {
+        f.vars()
+    }
+
+    fn identity(&mut self) -> Factor {
+        Factor::identity()
+    }
+
+    fn product(&mut self, a: &Factor, b: &Factor) -> Factor {
+        a.product(b)
+    }
+
+    fn marginalize(&mut self, f: &Factor, var: usize) -> Factor {
+        f.marginalize(var)
+    }
+}
+
+/// Variable elimination: sums out every variable except `query_var` and
+/// the hard-observed ones, in id order, and returns the product of the
+/// remaining factors (the unnormalised posterior over `query_var`).
+///
+/// `factors` is consumed in place: multiplying-out then `retain` + `push`
+/// keeps the surviving factors in their relative order and lands each
+/// summed factor at the back.
+fn eliminate<A: VeAlgebra>(
+    alg: &mut A,
+    n: usize,
+    query_var: usize,
+    hard_vars: &[usize],
+    factors: &mut Vec<A::Factor>,
+) -> A::Factor {
+    let mentions = |f: &A::Factor, var: usize| A::scope(f).iter().any(|(v, _)| *v == var);
+    for var in 0..n {
+        if var == query_var || hard_vars.contains(&var) {
+            continue;
+        }
+        // Multiply all factors mentioning `var`, then sum it out.
+        let mut combined = alg.identity();
+        for f in factors.iter().filter(|f| mentions(f, var)) {
+            combined = alg.product(&combined, f);
+        }
+        factors.retain(|f| !mentions(f, var));
+        factors.push(alg.marginalize(&combined, var));
+    }
+    let mut joint = alg.identity();
+    for f in factors.iter() {
+        joint = alg.product(&joint, f);
+    }
+    joint
+}
+
+/// The factors a query eliminates: the network's CPTs, then one factor
+/// per virtual-evidence likelihood, each with every hard observation
+/// reduced out.
+fn evidence_factors(
+    bn: &BayesianNetwork,
+    evidence: &Evidence,
+) -> Result<Vec<Factor>, InferenceError> {
+    let n = bn.variable_count();
     let mut factors = bn.factors();
 
     // Apply virtual evidence as extra factors.
@@ -199,104 +297,179 @@ pub fn query(
             }
         }
     }
-
-    // Eliminate every variable except the query (evidence vars are already
-    // reduced out of scopes; eliminating them is a no-op).
-    let hard_vars: Vec<usize> = evidence.hard.iter().map(|(v, _)| *v).collect();
-    eliminate_to_posterior(n, query_var, &hard_vars, &mut factors).map(|p| p.values().to_vec())
+    Ok(factors)
 }
 
-/// The elimination-and-normalization tail shared by [`query`] and
-/// [`query_with_reduced_in`]. Keeping one body guarantees the cached path
-/// performs the same floating-point operations in the same order as the
-/// naive one — bit-identical posteriors by construction.
-///
-/// `factors` is consumed in place (this is the scratch buffer on the hot
-/// path): multiplying-out then `retain` + `push` reproduces the historical
-/// `partition` + push ordering exactly — `retain` is stable, so the
-/// surviving factors keep their relative order and the summed factor lands
-/// at the back, as before.
-fn eliminate_to_posterior(
-    n: usize,
-    query_var: usize,
-    hard_vars: &[usize],
-    factors: &mut Vec<Factor>,
-) -> Result<Factor, InferenceError> {
-    for var in 0..n {
-        if var == query_var || hard_vars.contains(&var) {
-            continue;
+/// Slots one [`QueryTape`] may use: its inputs plus one per recorded
+/// operation. Replay keeps them in a stack array of this size; each SAR
+/// risk query uses fewer than 50.
+const TAPE_SLOTS: usize = 64;
+
+/// One recorded operation; its result goes to the next free slot.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Mul(u8, u8),
+    Add(u8, u8),
+}
+
+/// A factor whose entries are tape slots rather than values.
+#[derive(Debug, Clone)]
+struct SlotFactor {
+    vars: crate::factor::Vars,
+    slots: InlineVec<usize, 16>,
+}
+
+/// The recording algebra. Its inputs (the constant `1.0` and `0.0`, the
+/// reduced CPT entries, the likelihood placeholders) take the first
+/// slots; every operation takes the next one.
+struct Recorder {
+    inputs: Vec<f64>,
+    ops: Vec<Op>,
+}
+
+impl Recorder {
+    const ONE: usize = 0;
+    const ZERO: usize = 1;
+
+    fn new() -> Self {
+        Recorder {
+            inputs: vec![1.0, 0.0],
+            ops: Vec::new(),
         }
-        // Multiply all factors mentioning `var`, then sum it out.
-        let mut combined = Factor::identity();
-        for f in factors.iter().filter(|f| f.contains(var)) {
-            combined = combined.product(f);
+    }
+
+    /// A factor over `vars` whose entries are fresh input slots holding
+    /// `values`.
+    fn input(&mut self, vars: &[(usize, usize)], values: &[f64]) -> SlotFactor {
+        debug_assert!(self.ops.is_empty(), "inputs precede operations");
+        let first = self.inputs.len();
+        self.inputs.extend_from_slice(values);
+        SlotFactor {
+            vars: vars.iter().copied().collect(),
+            slots: (first..self.inputs.len()).collect(),
         }
-        factors.retain(|f| !f.contains(var));
-        factors.push(combined.marginalize(var));
     }
 
-    let mut joint = Factor::identity();
-    for f in factors.iter() {
-        joint = joint.product(f);
+    fn emit(&mut self, op: fn(u8, u8) -> Op, a: usize, b: usize) -> usize {
+        let slot = |s: usize| u8::try_from(s).expect("slot index fits the tape");
+        self.ops.push(op(slot(a), slot(b)));
+        self.inputs.len() + self.ops.len() - 1
     }
-    if joint.sum() <= 0.0 {
-        return Err(InferenceError::ImpossibleEvidence);
-    }
-    let posterior = joint.normalized();
-    // The posterior must be exactly over the query variable.
-    debug_assert_eq!(posterior.vars().len(), 1);
-    debug_assert_eq!(posterior.vars()[0].0, query_var);
-    Ok(posterior)
 }
 
-/// Reusable factor workspace for [`query_with_reduced_in`]. The inner
-/// `Vec` holds inline-storage [`Factor`]s, so once its capacity has grown
-/// to the network's factor count (first call), subsequent queries allocate
-/// nothing.
-#[derive(Debug, Clone, Default)]
-pub struct VeScratch {
-    factors: Vec<Factor>,
+impl VeAlgebra for Recorder {
+    type Factor = SlotFactor;
+
+    fn scope(f: &SlotFactor) -> &[(usize, usize)] {
+        &f.vars
+    }
+
+    fn identity(&mut self) -> SlotFactor {
+        SlotFactor {
+            vars: Default::default(),
+            slots: std::iter::once(Self::ONE).collect(),
+        }
+    }
+
+    fn product(&mut self, a: &SlotFactor, b: &SlotFactor) -> SlotFactor {
+        let plan = ProductPlan::new(&a.vars, &b.vars);
+        let slots = plan
+            .pairs()
+            .map(|(i, j)| self.emit(Op::Mul, a.slots[i], b.slots[j]))
+            .collect();
+        SlotFactor {
+            vars: plan.vars,
+            slots,
+        }
+    }
+
+    fn marginalize(&mut self, f: &SlotFactor, var: usize) -> SlotFactor {
+        let Some(plan) = MarginalPlan::new(&f.vars, var) else {
+            return f.clone();
+        };
+        let mut slots: InlineVec<usize, 16> = std::iter::repeat_n(Self::ZERO, plan.len).collect();
+        for (idx, &s) in f.slots.iter().enumerate() {
+            let t = plan.target(idx);
+            slots[t] = self.emit(Op::Add, slots[t], s);
+        }
+        SlotFactor {
+            vars: plan.vars,
+            slots,
+        }
+    }
 }
 
-/// [`query`] with the hard-evidence reduction of the network's base
-/// factors supplied pre-computed (`reduced_base` must be `bn.factors()`
-/// with every hard observation in `evidence` reduced out, in the original
-/// factor order). Hard-evidence reduction is pure state-index selection,
-/// so a cached reduction is bit-identical to a fresh one; virtual-evidence
-/// factors are still built (and reduced) per call because they carry the
-/// continuous monitor outputs that change every tick.
+/// One posterior probability of a [`query`] whose hard evidence is fixed,
+/// compiled to a straight-line tape of `f64` multiplications and
+/// additions. The tape is recorded by running [`query`]'s own
+/// elimination over slots, so [`Self::probability`] performs the same
+/// operations on the same values in the same order, down to the `1.0 *`
+/// identity products and the `0.0 +` starts of every sum: its result is
+/// bit-identical to `query(bn, query_var, &evidence)?[state]`.
+#[derive(Debug, Clone)]
+pub(crate) struct QueryTape {
+    /// Initial slot values: constants, reduced CPT entries and
+    /// placeholders for the likelihood weights.
+    inputs: Box<[f64]>,
+    /// The input slots that receive the likelihood weights.
+    likelihood: Range<usize>,
+    ops: Box<[Op]>,
+    /// The slots of the unnormalised posterior.
+    joint: Range<usize>,
+    /// The posterior entry returned.
+    state: usize,
+}
+
+impl QueryTape {
+    /// The posterior probability of the compiled state, given the
+    /// likelihood weights of the compiled evidence's virtual-evidence
+    /// variables, concatenated in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `likelihood` has the wrong length, or if the evidence has
+    /// probability zero (where [`query`] returns
+    /// [`InferenceError::ImpossibleEvidence`]).
+    pub(crate) fn probability(&self, likelihood: &[f64]) -> f64 {
+        let mut v = [0.0; TAPE_SLOTS];
+        v[..self.inputs.len()].copy_from_slice(&self.inputs);
+        v[self.likelihood.clone()].copy_from_slice(likelihood);
+        let first = self.inputs.len();
+        for (k, op) in self.ops.iter().enumerate() {
+            v[first + k] = match *op {
+                Op::Mul(a, b) => v[usize::from(a)] * v[usize::from(b)],
+                Op::Add(a, b) => v[usize::from(a)] + v[usize::from(b)],
+            };
+        }
+        // `Factor::sum`, then `Factor::normalized`'s division.
+        let joint = &v[self.joint.clone()];
+        let sum: f64 = joint.iter().sum();
+        assert!(sum > 0.0, "evidence has probability zero");
+        joint[self.state] / sum
+    }
+}
+
+/// Compiles P(`query_var` = `state` | `evidence`) into a [`QueryTape`].
+/// The hard observations are fixed into the tape; the weights of the
+/// virtual-evidence likelihoods are placeholders that
+/// [`QueryTape::probability`] takes at replay (only their lengths are
+/// read here).
 ///
 /// # Errors
 ///
-/// See [`InferenceError`].
-pub fn query_with_reduced(
+/// As [`query`], for the network and the evidence variables.
+///
+/// # Panics
+///
+/// Panics if `query_var` or a likelihood variable is hard-observed, if
+/// `state` is out of range, or if the tape needs more than `TAPE_SLOTS`
+/// slots.
+pub(crate) fn compile_query(
     bn: &BayesianNetwork,
     query_var: usize,
+    state: usize,
     evidence: &Evidence,
-    reduced_base: &[Factor],
-) -> Result<Vec<f64>, InferenceError> {
-    let mut scratch = VeScratch::default();
-    query_with_reduced_in(bn, query_var, evidence, reduced_base, &mut scratch)
-        .map(|p| p.values().to_vec())
-}
-
-/// [`query_with_reduced`] into a caller-owned [`VeScratch`], returning
-/// the posterior as an (inline-storage) [`Factor`] over the query
-/// variable. This is the per-tick entry point: with a warm scratch it
-/// performs zero heap allocations end to end, and it computes exactly the
-/// same floating-point operations in the same order as [`query`], so
-/// posteriors are bit-identical.
-///
-/// # Errors
-///
-/// See [`InferenceError`].
-pub fn query_with_reduced_in(
-    bn: &BayesianNetwork,
-    query_var: usize,
-    evidence: &Evidence,
-    reduced_base: &[Factor],
-    scratch: &mut VeScratch,
-) -> Result<Factor, InferenceError> {
+) -> Result<QueryTape, InferenceError> {
     if !bn.is_validated() {
         return Err(InferenceError::NotValidated);
     }
@@ -304,75 +477,49 @@ pub fn query_with_reduced_in(
     if query_var >= n {
         return Err(InferenceError::UnknownVariable(query_var));
     }
-    if let Some((_, state)) = evidence.hard.iter().find(|(v, _)| *v == query_var) {
-        let card = bn.cardinality(query_var);
-        if *state >= card {
-            return Err(InferenceError::BadState {
-                var: query_var,
-                state: *state,
-            });
-        }
-        let mut p: LikelihoodWeights = std::iter::repeat_n(0.0, card).collect();
-        p[*state] = 1.0;
-        return Ok(Factor::single(query_var, card, &p));
+    assert!(state < bn.cardinality(query_var), "state out of range");
+    let hard_vars: Vec<usize> = evidence.hard.iter().map(|(v, _)| *v).collect();
+    assert!(
+        !hard_vars.contains(&query_var),
+        "query variable is observed"
+    );
+    let evidence_factors = evidence_factors(bn, evidence)?;
+    for (var, _) in &evidence.virtual_likelihoods {
+        assert!(!hard_vars.contains(var), "likelihood variable is observed");
     }
-    let factors = &mut scratch.factors;
-    factors.clear();
-    factors.extend_from_slice(reduced_base);
-    for (var, weights) in &evidence.virtual_likelihoods {
-        if *var >= n {
-            return Err(InferenceError::UnknownVariable(*var));
-        }
-        let card = bn.cardinality(*var);
-        if weights.len() != card || weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(InferenceError::BadLikelihood(*var));
-        }
-        let mut f = Factor::single(*var, card, weights);
-        // The naive path reduces virtual factors alongside the base ones.
-        for (hvar, state) in &evidence.hard {
-            if f.contains(*hvar) {
-                f = f.reduce(*hvar, *state);
-            }
-        }
-        factors.push(f);
-    }
-    let hard_vars: InlineVec<usize, HARD_INLINE> = evidence.hard.iter().map(|(v, _)| *v).collect();
-    eliminate_to_posterior(n, query_var, &hard_vars, factors)
-}
 
-/// Builds the hard-evidence-reduced base factor list [`query_with_reduced`]
-/// expects: `bn.factors()` with each hard observation reduced out, in the
-/// exact order the naive [`query`] applies them.
-///
-/// # Errors
-///
-/// See [`InferenceError`].
-pub fn reduce_base_factors(
-    bn: &BayesianNetwork,
-    evidence: &Evidence,
-) -> Result<Vec<Factor>, InferenceError> {
-    if !bn.is_validated() {
-        return Err(InferenceError::NotValidated);
-    }
-    let n = bn.variable_count();
-    let mut factors = bn.factors();
-    for (var, state) in &evidence.hard {
-        if *var >= n {
-            return Err(InferenceError::UnknownVariable(*var));
-        }
-        if *state >= bn.cardinality(*var) {
-            return Err(InferenceError::BadState {
-                var: *var,
-                state: *state,
-            });
-        }
-        for f in factors.iter_mut() {
-            if f.contains(*var) {
-                *f = f.reduce(*var, *state);
-            }
-        }
-    }
-    Ok(factors)
+    // The likelihood factors come last, so their entries are the last
+    // input slots.
+    let mut rec = Recorder::new();
+    let mut factors: Vec<SlotFactor> = evidence_factors
+        .iter()
+        .map(|f| rec.input(f.vars(), f.values()))
+        .collect();
+    let weights: usize = evidence
+        .virtual_likelihoods
+        .iter()
+        .map(|(_, w)| w.len())
+        .sum();
+    let likelihood = rec.inputs.len() - weights..rec.inputs.len();
+
+    let joint = eliminate(&mut rec, n, query_var, &hard_vars, &mut factors);
+    assert_eq!(&joint.vars[..], &[(query_var, bn.cardinality(query_var))]);
+    let first = joint.slots[0];
+    assert!(
+        joint.slots.iter().enumerate().all(|(k, &s)| s == first + k),
+        "the final product fills consecutive slots"
+    );
+    assert!(
+        rec.inputs.len() + rec.ops.len() <= TAPE_SLOTS,
+        "tape exceeds TAPE_SLOTS"
+    );
+    Ok(QueryTape {
+        inputs: rec.inputs.into(),
+        likelihood,
+        ops: rec.ops.into(),
+        joint: first..first + joint.slots.len(),
+        state,
+    })
 }
 
 #[cfg(test)]
@@ -463,6 +610,33 @@ mod tests {
         let soft = query(&bn, rain, &Evidence::new().likelihood(wet, vec![0.0, 1.0])).unwrap();
         for (h, s) in hard.iter().zip(soft.iter()) {
             assert!((h - s).abs() < 1e-12);
+        }
+    }
+
+    /// A compiled query replays `query` bit for bit, with and without
+    /// hard evidence and with a likelihood whose weights change per call.
+    #[test]
+    fn compiled_query_replays_query_bit_for_bit() {
+        let bn = sprinkler();
+        let rain = bn.variable_id("rain").unwrap();
+        let spr = bn.variable_id("sprinkler").unwrap();
+        let wet = bn.variable_id("wet").unwrap();
+        for hard in [Evidence::new(), Evidence::new().observe(spr, 0)] {
+            for state in 0..2 {
+                let plain = compile_query(&bn, rain, state, &hard).unwrap();
+                let want = query(&bn, rain, &hard).unwrap()[state];
+                assert_eq!(plain.probability(&[]).to_bits(), want.to_bits());
+
+                let shape = hard.clone().likelihood(wet, vec![0.0, 0.0]);
+                let soft = compile_query(&bn, rain, state, &shape).unwrap();
+                for k in 0..=64 {
+                    let u = f64::from(k) / 64.0;
+                    let ev = hard.clone().likelihood(wet, vec![1.0 - u, u]);
+                    let want = query(&bn, rain, &ev).unwrap()[state];
+                    let got = soft.probability(&[1.0 - u, u]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "u = {u}");
+                }
+            }
         }
     }
 
