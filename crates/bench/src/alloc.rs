@@ -14,6 +14,8 @@
 //! and then reads [`allocations`] around a measured span. The counter is
 //! process-global and monotonic; callers diff two readings rather than
 //! resetting it, so concurrent readers never race a reset.
+//! [`thread_allocations`] counts the calling thread only, for spans that
+//! share the process with other work (tests run in parallel threads).
 //!
 //! Only *allocations* are counted — `dealloc` is passthrough. The number
 //! serves as a proxy for allocator pressure on the hot path (the honest
@@ -23,6 +25,7 @@
 //! the counter moves for a known-allocating operation first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every heap allocation made by the process — the allocs-proxy.
@@ -30,9 +33,14 @@ pub struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -46,4 +54,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// bracket a measured span.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocations made so far by the calling thread only: a span measured
+/// with this is not charged for other threads, such as concurrently
+/// running tests in the same binary.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }

@@ -57,7 +57,7 @@ use sesame_uav_sim::autopilot::FlightCommand;
 use sesame_uav_sim::geofence::{FenceStatus, Geofence, GeofenceMonitor};
 use sesame_uav_sim::sim::{Simulator, UavConfig, UavHandle};
 use sesame_uav_sim::world::World;
-use sesame_vision::detector::PersonDetector;
+use sesame_vision::detector::{Detection, PersonDetector};
 use sesame_vision::features::SceneCondition;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -584,6 +584,16 @@ struct TickScratch {
     teammates: Vec<Option<ChordPoint>>,
     /// ConSert pass: this tick's per-UAV actions.
     actions: Vec<UavAction>,
+    /// Bus pass: this tick's IDS-tap batch, then each UAV's command
+    /// batch in turn.
+    tapped: Vec<Arc<Message>>,
+    cmds: Vec<Arc<Message>>,
+    /// Pre-pass: persons in the current UAV's camera footprint and the
+    /// detector's output on them.
+    persons: Vec<GeoPoint>,
+    detections: Vec<Detection>,
+    /// Containment: which UAVs faulted or stalled this tick.
+    tick_faulted: Vec<bool>,
 }
 
 /// One UAV's results from this tick's shard fan-outs: written by the
@@ -651,7 +661,7 @@ pub struct Platform {
     db: DatabaseManager,
     gcs: GroundControlStation,
     events: EventLog,
-    seq: HashMap<String, u64>,
+    seq: HashMap<Arc<str>, u64>,
     altitude_policy: AltitudePolicy,
     cl: Option<ClState>,
     cl_outcome: Option<ClLandingOutcome>,
@@ -682,7 +692,7 @@ pub struct Platform {
     demoted_until_tick: Option<u64>,
     // BTreeMap, not HashMap: retries are re-published in iteration order,
     // and bus/RNG state must not depend on hash randomization.
-    pending_cmds: BTreeMap<(String, u64), PendingCommand>,
+    pending_cmds: BTreeMap<(Arc<str>, u64), PendingCommand>,
     next_heartbeat_at: SimTime,
     /// Contiguous fleet partition the tick's fan-outs run over; a single
     /// range runs them on the caller's thread. Resolved once in
@@ -697,8 +707,14 @@ pub struct Platform {
     /// fleet size is fixed at construction, so formatting these once
     /// keeps the hot tick free of `format!` allocations.
     eddi_eval_keys: Vec<String>,
-    /// Cached telemetry publish senders, indexed by UAV: `node:{id}`.
-    node_senders: Vec<String>,
+    /// Publish names, built once because the fleet is fixed: a publish
+    /// shares them (an `Arc` clone) instead of formatting. Indexed by
+    /// UAV: the sender `node:{id}`, the topics `/{id}/telemetry` and
+    /// `/{id}/cmd/heartbeat`; plus the ground station's `node:gcs`.
+    node_senders: Vec<Arc<str>>,
+    telemetry_topics: Vec<Arc<str>>,
+    heartbeat_topics: Vec<Arc<str>>,
+    gcs_sender: Arc<str>,
     /// Cached metric keys, indexed by UAV: `supervision.state.uav{i}`.
     supervision_state_keys: Vec<String>,
     /// Cached `UavId` display names, indexed by UAV (the reference
@@ -841,7 +857,18 @@ impl Platform {
         let shards = shard_ranges(n, config.fleet.shard_policy().shard_count(n));
         let watchdog = TickWatchdog::new(n, config.supervision.watchdog_trip_after);
         let eddi_eval_keys = (0..n).map(|i| format!("eddi.evals.uav{i}")).collect();
-        let node_senders = ids_list.iter().map(|id| format!("node:{id}")).collect();
+        let node_senders = ids_list
+            .iter()
+            .map(|id| format!("node:{id}").into())
+            .collect();
+        let telemetry_topics = ids_list
+            .iter()
+            .map(|id| format!("/{id}/telemetry").into())
+            .collect();
+        let heartbeat_topics = ids_list
+            .iter()
+            .map(|id| format!("/{id}/cmd/heartbeat").into())
+            .collect();
         let supervision_state_keys = (0..n)
             .map(|i| format!("supervision.state.uav{i}"))
             .collect();
@@ -898,6 +925,9 @@ impl Platform {
             },
             eddi_eval_keys,
             node_senders,
+            telemetry_topics,
+            heartbeat_topics,
+            gcs_sender: "node:gcs".into(),
             supervision_state_keys,
             uav_names,
         }
@@ -1056,18 +1086,16 @@ impl Platform {
         }
     }
 
-    fn publish(&mut self, sender: &str, topic: String, payload: Payload) -> u64 {
-        // Lookup before entry: `entry` would clone `sender` into a key
-        // on every call, but a sender only needs that once.
+    fn publish(&mut self, sender: &Arc<str>, topic: Arc<str>, payload: Payload) -> u64 {
         let seq = if let Some(c) = self.seq.get_mut(sender) {
             let s = *c;
             *c += 1;
             s
         } else {
-            self.seq.insert(sender.to_string(), 1);
+            self.seq.insert(Arc::clone(sender), 1);
             0
         };
-        let mut msg = Message::new(topic, sender, seq, self.sim.now(), payload);
+        let mut msg = Message::new(topic, Arc::clone(sender), seq, self.sim.now(), payload);
         if let Some(auth) = &self.auth {
             auth.sign(&mut msg);
         }
@@ -1079,8 +1107,9 @@ impl Platform {
     /// is tracked until the UAV-side drain applies it, and re-published
     /// (under a fresh sequence number, with exponential backoff) up to
     /// `max_command_retries` times if no acknowledgement arrives.
-    fn publish_command(&mut self, topic: String, payload: Payload, attempts: u32) {
-        let seq = self.publish("node:gcs", topic.clone(), payload.clone());
+    fn publish_command(&mut self, topic: Arc<str>, payload: Payload, attempts: u32) {
+        let sender = Arc::clone(&self.gcs_sender);
+        let seq = self.publish(&sender, Arc::clone(&topic), payload.clone());
         if self.config.supervision.enabled {
             let backoff_ms = self
                 .config
@@ -1102,9 +1131,10 @@ impl Platform {
     /// Uploads a route to a UAV over the (attackable) command channel.
     fn upload_route(&mut self, index: usize, route: Vec<GeoPoint>) {
         let id = self.uavs[index].handle.id();
+        let topic: Arc<str> = format!("/{id}/cmd/waypoint").into();
         for wp in route {
             self.publish_command(
-                format!("/{id}/cmd/waypoint"),
+                Arc::clone(&topic),
                 Payload::WaypointCommand {
                     uav: id,
                     waypoint: wp,
@@ -1178,13 +1208,10 @@ impl Platform {
         // Each UAV's supervisor measures uplink liveness from these.
         if self.config.supervision.enabled && now >= self.next_heartbeat_at {
             self.next_heartbeat_at = now + self.config.supervision.heartbeat_period;
+            let sender = Arc::clone(&self.gcs_sender);
             for i in 0..self.uavs.len() {
-                let id = self.uavs[i].handle.id();
-                self.publish(
-                    "node:gcs",
-                    format!("/{id}/cmd/heartbeat"),
-                    Payload::Text("heartbeat".into()),
-                );
+                let topic = Arc::clone(&self.heartbeat_topics[i]);
+                self.publish(&sender, topic, Payload::Text("heartbeat".into()));
                 self.metrics.inc("supervision.heartbeats_sent");
             }
         }
@@ -1228,7 +1255,8 @@ impl Platform {
         // drain failure would be a wiring bug — but under chaos testing
         // the platform must degrade, not die: count it, trace it, and
         // run the tick with an empty batch.
-        let tapped = self.drain_or_degrade(self.ids_tap, format_args!("ids_tap"), now);
+        let mut tapped = std::mem::take(&mut self.scratch.tapped);
+        self.drain_or_degrade(self.ids_tap, format_args!("ids_tap"), now, &mut tapped);
         // Telemetry-staleness watchdog: any telemetry that actually
         // survived the lossy bus refreshes its UAV's supervisor.
         if self.config.supervision.enabled {
@@ -1276,13 +1304,18 @@ impl Platform {
             }
         }
 
+        // Drop the batch's message references before parking the buffer.
+        tapped.clear();
+        self.scratch.tapped = tapped;
+
         // UAV-side command application: verify signatures when SESAME
         // signs; a stock deployment applies everything (the §V-C hole).
+        let mut cmds = std::mem::take(&mut self.scratch.cmds);
         for i in 0..n {
             let sub = self.cmd_subs[i];
-            let msgs = self.drain_or_degrade(sub, format_args!("cmd_sub.uav{i}"), now);
+            self.drain_or_degrade(sub, format_args!("cmd_sub.uav{i}"), now, &mut cmds);
             let handle = self.uavs[i].handle;
-            for msg in msgs {
+            for msg in cmds.drain(..) {
                 if let Some(auth) = &self.auth {
                     if !auth.verify(&msg) {
                         self.metrics.inc("commands.rejected_auth");
@@ -1299,7 +1332,7 @@ impl Platform {
                 self.metrics.inc("commands.applied");
                 // Delivery doubles as the acknowledgement for the
                 // at-least-once command retry machinery.
-                self.pending_cmds.remove(&(msg.topic.clone(), msg.seq));
+                self.pending_cmds.remove(&(Arc::clone(&msg.topic), msg.seq));
                 match &msg.payload {
                     Payload::WaypointCommand { waypoint, .. } => {
                         self.sim
@@ -1322,6 +1355,7 @@ impl Platform {
                 }
             }
         }
+        self.scratch.cmds = cmds;
 
         // ---- Degraded-mode supervision ----
         if self.config.supervision.enabled {
@@ -1485,21 +1519,18 @@ impl Platform {
         sub: Subscription,
         context: std::fmt::Arguments<'_>,
         now: SimTime,
-    ) -> Vec<Arc<Message>> {
-        match self.bus.drain(sub) {
-            Ok(msgs) => msgs,
-            Err(err) => {
-                self.metrics.inc("bus.drain_failures");
-                self.metrics.inc(&format!("bus.drain_failures.{context}"));
-                self.trace.push(
-                    now.as_millis(),
-                    TraceEvent::BusDegraded {
-                        context: context.to_string(),
-                        detail: err.to_string(),
-                    },
-                );
-                Vec::new()
-            }
+        out: &mut Vec<Arc<Message>>,
+    ) {
+        if let Err(err) = self.bus.drain_into(sub, out) {
+            self.metrics.inc("bus.drain_failures");
+            self.metrics.inc(&format!("bus.drain_failures.{context}"));
+            self.trace.push(
+                now.as_millis(),
+                TraceEvent::BusDegraded {
+                    context: context.to_string(),
+                    detail: err.to_string(),
+                },
+            );
         }
     }
 
@@ -1521,16 +1552,11 @@ impl Platform {
     ) {
         let id = tel.uav;
 
-        // Telemetry onto the bus and into the database. The sender name
-        // is lent out of its cache for the call (`publish` needs all of
-        // `self`), so no string is built per tick.
-        let sender = std::mem::take(&mut self.node_senders[i]);
-        self.publish(
-            &sender,
-            format!("/{id}/telemetry"),
-            Payload::Telemetry(tel.clone()),
-        );
-        self.node_senders[i] = sender;
+        // Telemetry onto the bus and into the database, under the cached
+        // sender and topic names.
+        let sender = Arc::clone(&self.node_senders[i]);
+        let topic = Arc::clone(&self.telemetry_topics[i]);
+        self.publish(&sender, topic, Payload::Telemetry(tel.clone()));
         self.db
             .store_location(id, now, tel.gps.position, tel.battery_soc);
         self.manager.update_battery(id, tel.battery_soc);
@@ -1553,12 +1579,18 @@ impl Platform {
 
         // Person detection while surveying.
         if tel.mode == FlightMode::Mission && tel.true_position.alt_m > 5.0 {
-            let people = self.sim.visible_persons(handle_of(&self.uavs, i));
+            let mut people = std::mem::take(&mut self.scratch.persons);
+            let mut dets = std::mem::take(&mut self.scratch.detections);
+            self.sim
+                .visible_persons_into(handle_of(&self.uavs, i), &mut people);
             self.uavs[i].detection_attempts += people.len() as u64;
-            let dets = self.uavs[i]
-                .detector
-                .detect_frame(&tel.true_position, visibility, &people);
-            for det in dets {
+            self.uavs[i].detector.detect_frame_into(
+                &tel.true_position,
+                visibility,
+                &people,
+                &mut dets,
+            );
+            for det in dets.drain(..) {
                 if det.true_positive {
                     self.uavs[i].detection_hits += 1;
                 } else {
@@ -1576,6 +1608,8 @@ impl Platform {
                     });
                 }
             }
+            self.scratch.persons = people;
+            self.scratch.detections = dets;
         }
 
         // Availability accounting.
@@ -1947,7 +1981,7 @@ impl Platform {
         // Command retries: collect due keys first (BTreeMap keeps the
         // order deterministic), then re-publish under fresh sequence
         // numbers so the IDS replay detector stays quiet.
-        let due: Vec<(String, u64)> = self
+        let due: Vec<(Arc<str>, u64)> = self
             .pending_cmds
             .iter()
             .filter(|(_, pc)| now >= pc.next_retry_at)
@@ -1973,7 +2007,7 @@ impl Platform {
             self.trace.push(
                 now.as_millis(),
                 TraceEvent::CommandRetry {
-                    topic: key.0.clone(),
+                    topic: key.0.to_string(),
                     attempt,
                 },
             );
@@ -2023,7 +2057,9 @@ impl Platform {
         let n = self.uavs.len();
         let mut faults = std::mem::take(&mut self.pending_faults);
         faults.sort_by_key(|f| f.uav);
-        let mut tick_faulted = vec![false; n];
+        let mut tick_faulted = std::mem::take(&mut self.scratch.tick_faulted);
+        tick_faulted.clear();
+        tick_faulted.resize(n, false);
         for f in &faults {
             tick_faulted[f.uav] = true;
         }
@@ -2070,6 +2106,7 @@ impl Platform {
         // counters still tick, keeping the wall-clock-free metrics
         // identical across shard policies.
         let tripped = self.watchdog.observe(&tick_faulted);
+        self.scratch.tick_faulted = tick_faulted;
         for i in tripped {
             let id = self.uavs[i].handle.id();
             self.metrics.inc("watchdog.trip");
@@ -2129,7 +2166,7 @@ impl Platform {
         // (the CL landing pipeline keeps priority — it owns the vehicle).
         if !self.uavs[i].cl_landing && self.sim.mode(self.uavs[i].handle).is_airborne() {
             self.publish_command(
-                format!("/{id}/cmd/mode"),
+                format!("/{id}/cmd/mode").into(),
                 Payload::ModeCommand {
                     uav: id,
                     mode: "rtb".into(),
@@ -2243,8 +2280,7 @@ impl Platform {
 
     fn estimated_remaining_mission(&self, uav: UavId) -> SimDuration {
         // This UAV's remaining route at cruise speed, floor 30 s.
-        let route = self.tasks.remaining_route(uav);
-        let remaining_m = sesame_sar::coverage::path_length_m(&route);
+        let remaining_m = self.tasks.remaining_route_length_m(uav);
         let secs = (remaining_m / 8.0).max(30.0);
         SimDuration::from_secs_f64(secs)
     }

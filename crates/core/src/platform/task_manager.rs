@@ -8,7 +8,7 @@
 
 use sesame_sar::allocation::Allocation;
 use sesame_sar::area::split_strips;
-use sesame_sar::coverage::{boustrophedon_path, path_length_m};
+use sesame_sar::coverage::{boustrophedon_path, chained_path_length_m, path_length_m};
 use sesame_sar::mission::SarMission;
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::{TaskId, UavId};
@@ -71,19 +71,32 @@ impl TaskManager {
     /// The waypoints of the task currently owned by `uav` that are still
     /// to fly (concatenated over its tasks).
     pub fn remaining_route(&self, uav: UavId) -> Vec<GeoPoint> {
-        let mut route = Vec::new();
-        for task in self.allocation.tasks_of(uav) {
-            if let Some(t) = self.mission.task(task) {
-                route.extend_from_slice(t.remaining());
-            }
-        }
-        route
+        self.remaining_segments(uav).flatten().copied().collect()
+    }
+
+    /// Path length of [`TaskManager::remaining_route`] in metres, computed
+    /// without building the route (bit-identical to `path_length_m` of
+    /// it).
+    pub fn remaining_route_length_m(&self, uav: UavId) -> f64 {
+        chained_path_length_m(self.remaining_segments(uav))
+    }
+
+    /// The still-to-fly waypoints of each of `uav`'s tasks, in task order.
+    fn remaining_segments(&self, uav: UavId) -> impl Iterator<Item = &[GeoPoint]> + Clone {
+        self.allocation
+            .tasks_of(uav)
+            .iter()
+            .filter_map(|task| self.mission.task(*task))
+            .map(|t| t.remaining())
     }
 
     /// Records that `uav` reached `position`: advances waypoint progress
     /// of its tasks and mirrors the flown distance into the allocation.
     pub fn record_position(&mut self, uav: UavId, position: &GeoPoint, acceptance_m: f64) {
-        for task in self.allocation.tasks_of(uav) {
+        // Indexed, because the loop body updates the allocation; progress
+        // never changes ownership, so the task list stays put.
+        for k in 0..self.allocation.tasks_of(uav).len() {
+            let task = self.allocation.tasks_of(uav)[k];
             let before = self
                 .mission
                 .task(task)
@@ -186,6 +199,22 @@ mod tests {
         assert!(tm.remaining_route(UavId::new(3)).is_empty());
         let inherited = tm.remaining_route(to);
         assert!(!inherited.is_empty(), "new owner sees the leftover route");
+    }
+
+    #[test]
+    fn route_length_matches_the_built_route_bit_for_bit() {
+        let mut tm = plan3();
+        let route = tm.remaining_route(UavId::new(3));
+        for wp in route.iter().take(route.len() / 3) {
+            tm.record_position(UavId::new(3), wp, 5.0);
+        }
+        // UAV 1 inherits UAV 3's leftover strip: a two-task owner.
+        tm.redistribute(UavId::new(3), &[UavId::new(1)]);
+        for uav in [1u32, 2, 3] {
+            let id = UavId::new(uav);
+            let built = path_length_m(&tm.remaining_route(id));
+            assert_eq!(tm.remaining_route_length_m(id).to_bits(), built.to_bits());
+        }
     }
 
     #[test]

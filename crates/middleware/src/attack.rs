@@ -220,7 +220,7 @@ mod tests {
         bus.step(SimTime::from_millis(100));
         let msgs = bus.drain(autopilot).unwrap();
         assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].sender, "node:gcs");
+        assert_eq!(&*msgs[0].sender, "node:gcs");
         assert!(!msgs[0].is_signed());
     }
 

@@ -11,6 +11,7 @@ use crate::message::{Message, Payload};
 use crate::topic::Pattern;
 use sesame_types::time::SimTime;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Returns `true` when MQTT-style `pattern` matches `topic`.
 ///
@@ -54,12 +55,13 @@ pub struct BrokerSubscription(usize);
 
 struct BrokerSub {
     filter: Pattern,
-    queue: VecDeque<Message>,
+    queue: VecDeque<Arc<Message>>,
 }
 
 /// A tiny MQTT-like broker: immediate fan-out (no modelled latency — the
 /// broker runs on the ground station LAN), topic filters, retained
-/// messages.
+/// messages. Like the bus, fan-out shares one `Arc<Message>` across every
+/// matching queue (and the retained slot) instead of copying the body.
 ///
 /// # Examples
 ///
@@ -81,7 +83,7 @@ struct BrokerSub {
 #[derive(Default)]
 pub struct AlertBroker {
     subs: Vec<BrokerSub>,
-    retained: Vec<Message>,
+    retained: Vec<Arc<Message>>,
     published: u64,
     offline: bool,
     lost_to_outage: u64,
@@ -112,7 +114,7 @@ impl AlertBroker {
         let mut queue = VecDeque::new();
         for m in &self.retained {
             if filter.matches_topic(&m.topic) {
-                queue.push_back(m.clone());
+                queue.push_back(Arc::clone(m));
             }
         }
         self.subs.push(BrokerSub { filter, queue });
@@ -123,13 +125,13 @@ impl AlertBroker {
     pub fn publish(
         &mut self,
         now: SimTime,
-        sender: impl Into<String>,
-        topic: impl Into<String>,
+        sender: impl Into<Arc<str>>,
+        topic: impl Into<Arc<str>>,
         payload: Payload,
     ) {
-        let msg = Message::new(topic.into(), sender.into(), self.published, now, payload);
+        let msg = Message::new(topic, sender, self.published, now, payload);
         self.published += 1;
-        self.fan_out(msg);
+        self.fan_out(Arc::new(msg));
     }
 
     /// Publishes with the retain flag: the broker stores the message and
@@ -138,26 +140,25 @@ impl AlertBroker {
     pub fn publish_retained(
         &mut self,
         now: SimTime,
-        sender: impl Into<String>,
-        topic: impl Into<String>,
+        sender: impl Into<Arc<str>>,
+        topic: impl Into<Arc<str>>,
         payload: Payload,
     ) {
-        let topic = topic.into();
-        let msg = Message::new(topic.clone(), sender.into(), self.published, now, payload);
+        let msg = Arc::new(Message::new(topic, sender, self.published, now, payload));
         self.published += 1;
-        self.retained.retain(|m| m.topic != topic);
-        self.retained.push(msg.clone());
+        self.retained.retain(|m| m.topic != msg.topic);
+        self.retained.push(Arc::clone(&msg));
         self.fan_out(msg);
     }
 
-    fn fan_out(&mut self, msg: Message) {
+    fn fan_out(&mut self, msg: Arc<Message>) {
         if self.offline {
             self.lost_to_outage += 1;
             return;
         }
         for sub in &mut self.subs {
             if sub.filter.matches_topic(&msg.topic) {
-                sub.queue.push_back(msg.clone());
+                sub.queue.push_back(Arc::clone(&msg));
             }
         }
     }
@@ -181,7 +182,9 @@ impl AlertBroker {
     }
 
     /// Removes and returns the queued messages for `sub`, oldest first.
-    pub fn drain(&mut self, sub: BrokerSubscription) -> Vec<Message> {
+    /// Messages are shared with the other subscribers' queues; field
+    /// access derefs transparently.
+    pub fn drain(&mut self, sub: BrokerSubscription) -> Vec<Arc<Message>> {
         self.subs
             .get_mut(sub.0)
             .map(|s| s.queue.drain(..).collect())
@@ -247,6 +250,17 @@ mod tests {
         assert_eq!(b.drain(spoof_only).len(), 1);
         assert_eq!(b.queued(all), 0);
         assert_eq!(b.published(), 2);
+    }
+
+    #[test]
+    fn fan_out_shares_one_message_across_subscribers() {
+        let mut b = AlertBroker::new();
+        let first = b.subscribe("ids/#");
+        let second = b.subscribe("ids/alerts/+");
+        b.publish_retained(SimTime::ZERO, "ids", "ids/alerts/spoof", alert("spoof"));
+        let late = b.subscribe("ids/alerts/spoof");
+        let (x, y, z) = (b.drain(first), b.drain(second), b.drain(late));
+        assert!(Arc::ptr_eq(&x[0], &y[0]) && Arc::ptr_eq(&x[0], &z[0]));
     }
 
     #[test]

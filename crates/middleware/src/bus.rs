@@ -176,7 +176,7 @@ struct CachedRoute {
 pub struct MessageBus {
     subs: Vec<SubState>,
     in_flight: VecDeque<InFlight>,
-    seq: HashMap<String, u64>,
+    seq: HashMap<Arc<str>, u64>,
     tampers: Vec<(Pattern, Option<TamperFn>)>,
     loss: Vec<(Pattern, f64)>,
     latency: SimDuration,
@@ -368,8 +368,8 @@ impl MessageBus {
     pub fn publish(
         &mut self,
         now: SimTime,
-        sender: impl Into<String>,
-        topic: impl Into<String>,
+        sender: impl Into<Arc<str>>,
+        topic: impl Into<Arc<str>>,
         payload: Payload,
     ) -> Arc<Message> {
         let sender = sender.into();
@@ -378,7 +378,7 @@ impl MessageBus {
             *c += 1;
             s
         } else {
-            self.seq.insert(sender.clone(), 1);
+            self.seq.insert(Arc::clone(&sender), 1);
             0
         };
         let msg = Arc::new(Message::new(topic.into(), sender, seq, now, payload));
@@ -499,10 +499,16 @@ impl MessageBus {
     /// it, and the mutated copy is what fans out.
     pub fn step(&mut self, now: SimTime) -> usize {
         let mut delivered = 0;
-        let mut remaining = VecDeque::with_capacity(self.in_flight.len());
-        while let Some(inf) = self.in_flight.pop_front() {
+        // One rotation of the ring in place: every entry is popped once,
+        // and the not-yet-due ones go back on the end in their original
+        // relative order (delivery never enqueues new in-flight entries).
+        for _ in 0..self.in_flight.len() {
+            let inf = self
+                .in_flight
+                .pop_front()
+                .expect("rotation stays within len");
             if inf.deliver_at > now {
-                remaining.push_back(inf);
+                self.in_flight.push_back(inf);
                 continue;
             }
             let InFlight {
@@ -524,8 +530,8 @@ impl MessageBus {
                 self.trace.push(
                     now.as_millis(),
                     TraceEvent::MessageDropped {
-                        topic: msg.topic.clone(),
-                        sender: msg.sender.clone(),
+                        topic: msg.topic.to_string(),
+                        sender: msg.sender.to_string(),
                     },
                 );
                 self.routes[tid.index()] = Some(route);
@@ -560,8 +566,8 @@ impl MessageBus {
                         continue;
                     };
                     let mutated = f(body);
-                    if body.topic != self.topics.name(cur_tid) {
-                        let topic = body.topic.clone();
+                    if *body.topic != *self.topics.name(cur_tid) {
+                        let topic = Arc::clone(&body.topic);
                         cur_tid = self.intern(&topic);
                         rewritten = true;
                     }
@@ -571,8 +577,8 @@ impl MessageBus {
                         self.trace.push(
                             now.as_millis(),
                             TraceEvent::MessageTampered {
-                                topic: body.topic.clone(),
-                                sender: body.sender.clone(),
+                                topic: body.topic.to_string(),
+                                sender: body.sender.to_string(),
                             },
                         );
                     }
@@ -595,7 +601,7 @@ impl MessageBus {
                     self.trace.push(
                         now.as_millis(),
                         TraceEvent::QueueOverflow {
-                            topic: msg.topic.clone(),
+                            topic: msg.topic.to_string(),
                             subscriber: idx,
                         },
                     );
@@ -612,7 +618,6 @@ impl MessageBus {
             }
             self.routes[tid.index()] = Some(route);
         }
-        self.in_flight = remaining;
         delivered
     }
 
@@ -623,6 +628,20 @@ impl MessageBus {
     /// Messages are shared (`Arc`) — field access derefs transparently;
     /// clone the inner [`Message`] only if an owned copy is needed.
     pub fn drain(&mut self, sub: Subscription) -> Result<Vec<Arc<Message>>, BusError> {
+        let mut out = Vec::new();
+        self.drain_into(sub, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`MessageBus::drain`] into a caller-owned buffer, replacing its
+    /// contents: a per-tick drain through a reused buffer allocates
+    /// nothing once the buffer has grown. On error `out` is left empty.
+    pub fn drain_into(
+        &mut self,
+        sub: Subscription,
+        out: &mut Vec<Arc<Message>>,
+    ) -> Result<(), BusError> {
+        out.clear();
         let s = self
             .subs
             .get_mut(sub.0)
@@ -630,7 +649,8 @@ impl MessageBus {
         if !s.active {
             return Err(BusError::Unsubscribed(sub));
         }
-        Ok(s.queue.drain(..).collect())
+        out.extend(s.queue.drain(..));
+        Ok(())
     }
 
     /// Number of messages currently queued for `sub`.
@@ -743,6 +763,55 @@ mod tests {
     }
 
     #[test]
+    fn step_keeps_undue_messages_in_publish_order() {
+        let mut bus = MessageBus::new();
+        bus.set_topic_latency("/slow", SimDuration::from_millis(300));
+        let all = bus.subscribe("#");
+        for (topic, body) in [
+            ("/slow", "a"),
+            ("/fast", "b"),
+            ("/slow", "c"),
+            ("/fast", "d"),
+        ] {
+            bus.publish(SimTime::ZERO, "n", topic, text(body));
+        }
+        assert_eq!(bus.step(SimTime::from_millis(100)), 2);
+        assert_eq!(bus.in_flight_len(), 2);
+        bus.publish(SimTime::from_millis(100), "n", "/fast", text("e"));
+        assert_eq!(bus.step(SimTime::from_millis(400)), 3);
+        let order: Vec<Payload> = bus
+            .drain(all)
+            .unwrap()
+            .iter()
+            .map(|m| m.payload.clone())
+            .collect();
+        let expected: Vec<Payload> = ["b", "d", "a", "c", "e"].map(text).to_vec();
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn drain_into_replaces_the_buffer_and_reports_bad_handles() {
+        let mut bus = MessageBus::new();
+        let sub = bus.subscribe("/t");
+        let mut out = Vec::new();
+        bus.publish(SimTime::ZERO, "n", "/t", text("a"));
+        bus.step(SimTime::from_millis(100));
+        bus.drain_into(sub, &mut out).unwrap();
+        assert_eq!(out.len(), 1);
+        bus.publish(SimTime::from_millis(100), "n", "/t", text("b"));
+        bus.step(SimTime::from_millis(200));
+        bus.drain_into(sub, &mut out).unwrap();
+        assert_eq!(out.len(), 1, "replaced, not appended");
+        assert_eq!(out[0].payload, text("b"));
+        bus.unsubscribe(sub).unwrap();
+        assert_eq!(
+            bus.drain_into(sub, &mut out),
+            Err(BusError::Unsubscribed(sub))
+        );
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn per_topic_latency_overrides_default() {
         let mut bus = MessageBus::new();
         bus.set_latency(SimDuration::from_millis(10));
@@ -773,7 +842,7 @@ mod tests {
         bus.step(SimTime::from_millis(50));
         let got = bus.drain(sub).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].topic, "/fast");
+        assert_eq!(&*got[0].topic, "/fast");
     }
 
     #[test]
@@ -787,7 +856,7 @@ mod tests {
         assert_eq!(bus.drain(all).unwrap().len(), 2);
         let m = bus.drain(one).unwrap();
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].topic, "/uav1/telemetry");
+        assert_eq!(&*m[0].topic, "/uav1/telemetry");
     }
 
     #[test]
@@ -809,7 +878,7 @@ mod tests {
         bus.step(SimTime::from_millis(100));
         let msgs = bus.drain(sub).unwrap();
         assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].topic, "/fine");
+        assert_eq!(&*msgs[0].topic, "/fine");
         assert_eq!(bus.stats().dropped, 1);
     }
 
@@ -1044,7 +1113,7 @@ mod tests {
         bus.publish_message(forged.clone());
         bus.step(SimTime::from_millis(100));
         let got = bus.drain(sub).unwrap();
-        assert_eq!(got[0].sender, "node:gcs");
+        assert_eq!(&*got[0].sender, "node:gcs");
         assert_eq!(got[0].seq, 999);
         assert!(!got[0].is_signed());
     }

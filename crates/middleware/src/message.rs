@@ -11,6 +11,7 @@ use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::UavTelemetry;
 use sesame_types::time::SimTime;
+use std::sync::Arc;
 
 /// Typed message payloads understood by the platform and the IDS.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,12 +58,16 @@ pub enum PositionSource {
 }
 
 /// The envelope placed on the bus.
+///
+/// Topic and sender are shared strings: a publisher that names the same
+/// topic every tick builds it once and clones the `Arc`, so a publish
+/// allocates nothing for either.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Destination topic path (e.g. `"/uav1/cmd/waypoint"`).
-    pub topic: String,
+    pub topic: Arc<str>,
     /// The claimed sender node name (spoofable unless authenticated).
-    pub sender: String,
+    pub sender: Arc<str>,
     /// Per-sender monotone sequence number; gaps and repeats are IDS
     /// signals.
     pub seq: u64,
@@ -78,8 +83,8 @@ impl Message {
     /// Creates an unsigned message (the default in a stock ROS deployment —
     /// exactly the weakness the Security EDDI watches for).
     pub fn new(
-        topic: impl Into<String>,
-        sender: impl Into<String>,
+        topic: impl Into<Arc<str>>,
+        sender: impl Into<Arc<str>>,
         seq: u64,
         sent_at: SimTime,
         payload: Payload,
@@ -108,8 +113,8 @@ mod tests {
     fn unsigned_by_default() {
         let m = Message::new("/t", "node:a", 0, SimTime::ZERO, Payload::Text("x".into()));
         assert!(!m.is_signed());
-        assert_eq!(m.topic, "/t");
-        assert_eq!(m.sender, "node:a");
+        assert_eq!(&*m.topic, "/t");
+        assert_eq!(&*m.sender, "node:a");
     }
 
     #[test]

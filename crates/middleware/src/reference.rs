@@ -168,7 +168,7 @@ impl ReferenceBus {
         self.stats.published += 1;
         self.stats
             .per_topic
-            .entry(msg.topic.clone())
+            .entry(msg.topic.to_string())
             .or_default()
             .published += 1;
         let latency = self
@@ -219,14 +219,14 @@ impl ReferenceBus {
                 self.stats.dropped += 1;
                 self.stats
                     .per_topic
-                    .entry(msg.topic.clone())
+                    .entry(msg.topic.to_string())
                     .or_default()
                     .dropped += 1;
                 self.trace.push(
                     now.as_millis(),
                     TraceEvent::MessageDropped {
-                        topic: msg.topic.clone(),
-                        sender: msg.sender.clone(),
+                        topic: msg.topic.to_string(),
+                        sender: msg.sender.to_string(),
                     },
                 );
                 continue;
@@ -238,14 +238,14 @@ impl ReferenceBus {
                         self.stats.tampered += 1;
                         self.stats
                             .per_topic
-                            .entry(msg.topic.clone())
+                            .entry(msg.topic.to_string())
                             .or_default()
                             .tampered += 1;
                         self.trace.push(
                             now.as_millis(),
                             TraceEvent::MessageTampered {
-                                topic: msg.topic.clone(),
-                                sender: msg.sender.clone(),
+                                topic: msg.topic.to_string(),
+                                sender: msg.sender.to_string(),
                             },
                         );
                     }
@@ -260,7 +260,7 @@ impl ReferenceBus {
                         self.trace.push(
                             now.as_millis(),
                             TraceEvent::QueueOverflow {
-                                topic: msg.topic.clone(),
+                                topic: msg.topic.to_string(),
                                 subscriber: idx,
                             },
                         );
@@ -274,7 +274,7 @@ impl ReferenceBus {
             if fanout > 0 {
                 self.stats
                     .per_topic
-                    .entry(msg.topic.clone())
+                    .entry(msg.topic.to_string())
                     .or_default()
                     .delivered += fanout;
                 let latency = inf.deliver_at - msg.sent_at;

@@ -247,7 +247,7 @@ fn make_tamper(kind: u64) -> sesame_middleware::bus::TamperFn {
         1 => Box::new(|_m: &mut Message| false),
         // Rewrite the topic: deliveries must follow the new topic.
         _ => Box::new(|m: &mut Message| {
-            if m.topic != "/b/b" {
+            if &*m.topic != "/b/b" {
                 m.topic = "/b/b".into();
                 true
             } else {

@@ -327,14 +327,25 @@ struct SolveProfile {
 
 impl SolveProfile {
     fn build(chain: &Ctmc) -> Self {
-        let n = chain.len();
-        let exits: Vec<f64> = (0..n).map(|i| chain.exit_rate(i)).collect();
-        let lambda_raw = exits.iter().copied().fold(0.0_f64, f64::max);
-        SolveProfile {
-            rates_bits: chain.rates.iter().map(|r| r.to_bits()).collect(),
-            exits,
-            lambda_raw,
-        }
+        let mut profile = SolveProfile {
+            rates_bits: Vec::new(),
+            exits: Vec::new(),
+            lambda_raw: 0.0,
+        };
+        profile.refresh(chain);
+        profile
+    }
+
+    /// Rebuilds the profile for `chain` in place, reusing the buffers'
+    /// capacity, so a rate change on a warm process allocates nothing.
+    fn refresh(&mut self, chain: &Ctmc) {
+        self.rates_bits.clear();
+        self.rates_bits
+            .extend(chain.rates.iter().map(|r| r.to_bits()));
+        self.exits.clear();
+        self.exits
+            .extend((0..chain.len()).map(|i| chain.exit_rate(i)));
+        self.lambda_raw = self.exits.iter().copied().fold(0.0_f64, f64::max);
     }
 
     fn matches(&self, chain: &Ctmc) -> bool {
@@ -437,14 +448,21 @@ impl CtmcProcess {
             self.dist = self.chain.transient(&self.dist, dt_secs);
             return;
         }
-        let fresh = !matches!(&self.cache, Some(profile) if profile.matches(&self.chain));
-        if fresh {
-            self.cache = Some(Box::new(SolveProfile::build(&self.chain)));
-            self.stats.misses += 1;
-        } else {
-            self.stats.hits += 1;
-        }
-        let profile = self.cache.as_ref().expect("profile just ensured");
+        let profile = match &mut self.cache {
+            Some(profile) if profile.matches(&self.chain) => {
+                self.stats.hits += 1;
+                profile
+            }
+            Some(profile) => {
+                profile.refresh(&self.chain);
+                self.stats.misses += 1;
+                profile
+            }
+            slot @ None => {
+                self.stats.misses += 1;
+                slot.insert(Box::new(SolveProfile::build(&self.chain)))
+            }
+        };
         // Solve in place through the persistent scratch: with a warm
         // cache and warm buffers this path performs zero heap
         // allocations. Bit-identical to the allocating path (same kernel).

@@ -338,7 +338,7 @@ mod tests {
         cfg.layout = MotorLayout::Quad;
         let mut mon = SafeDronesMonitor::new(cfg);
         let mut tel = telemetry(1, 0.9, 25.0);
-        tel.motors_ok = vec![true, true, false, true];
+        tel.motors_ok = [true, true, false, true].into_iter().collect();
         mon.ingest(&tel);
         let est = mon.estimate();
         // Quad with one motor out has lost controllability.
@@ -352,7 +352,7 @@ mod tests {
         cfg.layout = MotorLayout::Hexa;
         let mut mon = SafeDronesMonitor::new(cfg);
         let mut tel = telemetry(1, 0.9, 25.0);
-        tel.motors_ok = vec![true, true, false, true, true, true];
+        tel.motors_ok = [true, true, false, true, true, true].into_iter().collect();
         mon.ingest(&tel);
         let est = mon.estimate();
         assert!(est.pof < 0.5, "pof = {}", est.pof);

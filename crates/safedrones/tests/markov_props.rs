@@ -21,8 +21,69 @@ fn random_chain() -> impl Strategy<Value = Ctmc> {
     })
 }
 
+/// Bit patterns of a chain's full rate matrix (the solver cache's key).
+fn rate_bits(chain: &Ctmc) -> Vec<u64> {
+    let n = chain.len();
+    (0..n * n)
+        .map(|k| chain.rate(k / n, k % n).to_bits())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cached solver refreshes its profile in place on a rate
+    /// change: with rate mutations between steps (new values, zeroed
+    /// rates, and re-writes of the current value) every cached advance
+    /// matches the uncached solve bit for bit, and the cache misses
+    /// exactly once per distinct rate matrix seen in sequence.
+    #[test]
+    fn cached_advance_tracks_rate_changes_bit_for_bit(
+        chain in random_chain(),
+        steps in proptest::collection::vec(
+            (0usize..4, 0usize..6, 0usize..6, 0.0..0.5f64, 0.1..20.0f64),
+            1..40,
+        ),
+    ) {
+        let n = chain.len();
+        let mut cached = CtmcProcess::new(chain.clone(), 0);
+        cached.enable_solver_cache();
+        let mut naive = CtmcProcess::new(chain, 0);
+        let mut last_key: Option<Vec<u64>> = None;
+        let mut changes = 0u64;
+        let advances = steps.len() as u64;
+        for (kind, from, to, rate, dt) in steps {
+            let (from, to) = (from % n, to % n);
+            if from != to {
+                // 0: new rate, 1: zeroed, 2: re-write the same value,
+                // 3: no mutation this step.
+                let value = match kind {
+                    0 => Some(rate),
+                    1 => Some(0.0),
+                    2 => Some(naive.chain().rate(from, to)),
+                    _ => None,
+                };
+                if let Some(v) = value {
+                    cached.chain_mut().set_rate(from, to, v);
+                    naive.chain_mut().set_rate(from, to, v);
+                }
+            }
+            let key = rate_bits(naive.chain());
+            if last_key.as_ref() != Some(&key) {
+                changes += 1;
+                last_key = Some(key);
+            }
+            cached.advance(dt);
+            naive.advance(dt);
+            let a: Vec<u64> = cached.distribution().iter().map(|p| p.to_bits()).collect();
+            let b: Vec<u64> = naive.distribution().iter().map(|p| p.to_bits()).collect();
+            prop_assert_eq!(a, b);
+        }
+        let stats = cached.solver_cache_stats();
+        prop_assert_eq!(stats.misses, changes);
+        prop_assert_eq!(stats.hits, advances - changes);
+        prop_assert_eq!(naive.solver_cache_stats().misses, 0);
+    }
 
     /// The transient distribution stays a probability vector for any
     /// generator and horizon.

@@ -13,6 +13,11 @@ use std::collections::BTreeMap;
 pub struct Allocation {
     /// task -> owner.
     owners: BTreeMap<TaskId, UavId>,
+    /// owner -> its tasks in ascending `TaskId` order: `owners` inverted,
+    /// kept in step by every ownership change so [`Allocation::tasks_of`]
+    /// is a lookup instead of a scan. Owners with no tasks have no entry,
+    /// so the index is a function of `owners` and equality stays exact.
+    by_owner: BTreeMap<UavId, Vec<TaskId>>,
     /// Remaining work per task, metres of path.
     remaining: BTreeMap<TaskId, f64>,
 }
@@ -25,8 +30,24 @@ impl Allocation {
 
     /// Registers a task with its owner and workload.
     pub fn assign(&mut self, task: TaskId, owner: UavId, work_m: f64) {
-        self.owners.insert(task, owner);
+        self.set_owner(task, owner);
         self.remaining.insert(task, work_m.max(0.0));
+    }
+
+    /// Moves `task` to `owner` in both the owner map and its index.
+    fn set_owner(&mut self, task: TaskId, owner: UavId) {
+        if let Some(prev) = self.owners.insert(task, owner) {
+            if let Some(tasks) = self.by_owner.get_mut(&prev) {
+                tasks.retain(|t| *t != task);
+                if tasks.is_empty() {
+                    self.by_owner.remove(&prev);
+                }
+            }
+        }
+        let tasks = self.by_owner.entry(owner).or_default();
+        if let Err(at) = tasks.binary_search(&task) {
+            tasks.insert(at, task);
+        }
     }
 
     /// The owner of a task.
@@ -46,13 +67,9 @@ impl Allocation {
         }
     }
 
-    /// Tasks owned by a UAV.
-    pub fn tasks_of(&self, uav: UavId) -> Vec<TaskId> {
-        self.owners
-            .iter()
-            .filter(|(_, o)| **o == uav)
-            .map(|(t, _)| *t)
-            .collect()
+    /// Tasks owned by a UAV, in ascending `TaskId` order.
+    pub fn tasks_of(&self, uav: UavId) -> &[TaskId] {
+        self.by_owner.get(&uav).map_or(&[], Vec::as_slice)
     }
 
     /// Total remaining work of a UAV, metres.
@@ -73,7 +90,8 @@ impl Allocation {
         }
         let mut orphans: Vec<TaskId> = self
             .tasks_of(lost)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|t| self.remaining(*t) > 0.0)
             .collect();
         // Hand out the biggest orphan first.
@@ -94,7 +112,7 @@ impl Allocation {
                         .expect("finite load")
                 });
             let Some(to) = target else { break };
-            self.owners.insert(task, to);
+            self.set_owner(task, to);
             moves.push((task, lost, to));
         }
         moves
@@ -127,7 +145,7 @@ mod tests {
         let a = setup();
         assert_eq!(a.owner(TaskId::new(0)), Some(UavId::new(1)));
         assert_eq!(a.load_of(UavId::new(2)), 300.0);
-        assert_eq!(a.tasks_of(UavId::new(3)), vec![TaskId::new(2)]);
+        assert_eq!(a.tasks_of(UavId::new(3)), [TaskId::new(2)]);
     }
 
     #[test]
@@ -155,7 +173,7 @@ mod tests {
         assert_eq!(task, TaskId::new(2));
         assert_eq!(from, UavId::new(3));
         assert!(to == UavId::new(1) || to == UavId::new(2));
-        assert_eq!(a.tasks_of(UavId::new(3)), vec![]);
+        assert!(a.tasks_of(UavId::new(3)).is_empty());
         assert_eq!(a.remaining(TaskId::new(2)), 200.0, "progress preserved");
     }
 

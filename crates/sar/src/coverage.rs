@@ -63,6 +63,22 @@ pub fn path_length_m(path: &[GeoPoint]) -> f64 {
     path.windows(2).map(|w| w[0].distance_3d_m(&w[1])).sum()
 }
 
+/// [`path_length_m`] of the concatenation of `segments`, without building
+/// it: the same consecutive pairs, in the same order, through the same
+/// `sum`, so the result is bit-identical to concatenating first.
+pub fn chained_path_length_m<'a, I>(segments: I) -> f64
+where
+    I: IntoIterator<Item = &'a [GeoPoint]>,
+    I::IntoIter: Clone,
+{
+    let points = segments.into_iter().flatten();
+    points
+        .clone()
+        .zip(points.skip(1))
+        .map(|(a, b)| a.distance_3d_m(b))
+        .sum()
+}
+
 /// Generates a rectangular inward-spiral coverage path over the strip —
 /// the alternative pattern used by swarm path planners the paper cites
 /// (\[4\]): the UAV circles the strip perimeter, stepping inward by the

@@ -8,6 +8,7 @@
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::{TaskId, UavId};
 use sesame_types::time::SimTime;
+use std::collections::HashMap;
 
 /// Progress state of one coverage task.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +60,9 @@ pub struct Finding {
 #[derive(Debug, Clone, Default)]
 pub struct SarMission {
     tasks: Vec<TaskState>,
+    /// Task id -> position in `tasks` of the first task with that id, so
+    /// lookups keep the first-match semantics of a front-to-back scan.
+    index: HashMap<TaskId, usize>,
     findings: Vec<Finding>,
     /// Two reports closer than this are the same person, metres.
     pub dedup_radius_m: f64,
@@ -69,6 +73,7 @@ impl SarMission {
     pub fn new() -> Self {
         SarMission {
             tasks: Vec::new(),
+            index: HashMap::new(),
             findings: Vec::new(),
             dedup_radius_m: 10.0,
         }
@@ -76,6 +81,7 @@ impl SarMission {
 
     /// Adds a coverage task.
     pub fn add_task(&mut self, id: TaskId, owner: UavId, waypoints: Vec<GeoPoint>) {
+        self.index.entry(id).or_insert(self.tasks.len());
         self.tasks.push(TaskState {
             id,
             owner,
@@ -91,12 +97,13 @@ impl SarMission {
 
     /// Mutable task lookup.
     pub fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskState> {
-        self.tasks.iter_mut().find(|t| t.id == id)
+        let at = *self.index.get(&id)?;
+        self.tasks.get_mut(at)
     }
 
-    /// Task lookup.
+    /// Task lookup (the first task added under `id`).
     pub fn task(&self, id: TaskId) -> Option<&TaskState> {
-        self.tasks.iter().find(|t| t.id == id)
+        self.tasks.get(*self.index.get(&id)?)
     }
 
     /// Marks waypoints of `task` visited while the UAV is within
@@ -260,6 +267,17 @@ mod tests {
         m.report_person(p, UavId::new(1), 0.9, SimTime::ZERO);
         m.report_person(p, UavId::new(2), 0.5, SimTime::from_secs(1));
         assert_eq!(m.findings()[0].confidence, 0.9);
+    }
+
+    #[test]
+    fn duplicate_ids_resolve_to_the_first_task() {
+        let mut m = mission();
+        m.add_task(TaskId::new(0), UavId::new(3), vec![wp(5)]);
+        assert_eq!(m.task(TaskId::new(0)).unwrap().owner, UavId::new(1));
+        assert!(m.reassign(TaskId::new(0), UavId::new(2)));
+        assert_eq!(m.tasks()[0].owner, UavId::new(2));
+        assert_eq!(m.tasks()[2].owner, UavId::new(3));
+        assert!(m.task(TaskId::new(7)).is_none());
     }
 
     #[test]

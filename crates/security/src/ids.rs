@@ -27,6 +27,7 @@ use sesame_types::ids::UavId;
 use sesame_types::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Identifier of an IDS rule — equals the attack-tree leaf id it triggers.
 pub type IdsRule = &'static str;
@@ -75,8 +76,10 @@ impl Default for IdsConfig {
 pub struct Ids {
     config: IdsConfig,
     auth: Option<MessageAuth>,
-    last_seq: HashMap<String, u64>,
-    recent: HashMap<String, VecDeque<SimTime>>,
+    /// Keyed by the message's shared sender name, so tracking a sender
+    /// never copies its name.
+    last_seq: HashMap<Arc<str>, u64>,
+    recent: HashMap<Arc<str>, VecDeque<SimTime>>,
     plans: HashMap<UavId, Vec<GeoPoint>>,
     alerts_raised: u64,
 }
@@ -115,7 +118,8 @@ impl Ids {
         // Rate tracking.
         let window = self.config.rate_window;
         let in_window = {
-            let q = self.recent.entry(msg.sender.clone()).or_default();
+            // An `Arc` key clone is a refcount bump, not an allocation.
+            let q = self.recent.entry(Arc::clone(&msg.sender)).or_default();
             q.push_back(now);
             while let Some(front) = q.front() {
                 if now.since(*front) > window {
@@ -137,8 +141,8 @@ impl Ids {
         }
 
         // Sequence freshness per sender.
-        match self.last_seq.get(&msg.sender) {
-            Some(&last) if msg.seq <= last => {
+        match self.last_seq.get_mut(&*msg.sender) {
+            Some(&mut last) if msg.seq <= last => {
                 alerts.push(self.alert(
                     "replay",
                     subject,
@@ -147,8 +151,9 @@ impl Ids {
                     now,
                 ));
             }
-            _ => {
-                self.last_seq.insert(msg.sender.clone(), msg.seq);
+            Some(last) => *last = msg.seq,
+            None => {
+                self.last_seq.insert(Arc::clone(&msg.sender), msg.seq);
             }
         }
 

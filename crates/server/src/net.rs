@@ -19,6 +19,9 @@
 //!                                               lines, then done
 //! SHUTDOWN                                    → ok shutting-down
 //! ```
+//!
+//! A request line longer than [`MAX_LINE_LEN`] bytes gets
+//! `err line exceeds 4096 bytes` and the connection is closed.
 
 use crate::job::{JobId, JobSpec, JobState};
 use crate::runtime::ServerRuntime;
@@ -33,6 +36,12 @@ use std::time::Duration;
 /// Longest accepted `SUBMIT` source body, matching the run log's frame
 /// bound.
 pub const MAX_SOURCE_LEN: usize = crate::log::MAX_RECORD_LEN as usize;
+
+/// Longest accepted request line in bytes, newline included. A client
+/// that sends more without a newline gets an error reply and is
+/// disconnected, so one connection cannot grow the server's line buffer
+/// without bound.
+pub const MAX_LINE_LEN: usize = 4096;
 
 /// A listening front end over a [`ServerRuntime`]. Stopping the server
 /// stops accepting connections; the runtime (and its workers) belong to
@@ -123,12 +132,22 @@ fn parse_job(token: &str) -> Option<JobId> {
 fn handle_conn(conn: TcpStream, runtime: ServerRuntime, stop: Arc<AtomicBool>) -> io::Result<()> {
     let mut writer = conn.try_clone()?;
     let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    let mut raw = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 || stop.load(Ordering::Acquire) {
+        raw.clear();
+        let read = (&mut reader)
+            .take(MAX_LINE_LEN as u64 + 1)
+            .read_until(b'\n', &mut raw)?;
+        if read == 0 || stop.load(Ordering::Acquire) {
             return Ok(());
         }
+        if read > MAX_LINE_LEN {
+            writeln!(writer, "err line exceeds {MAX_LINE_LEN} bytes")?;
+            writer.flush()?;
+            return Ok(());
+        }
+        let line =
+            std::str::from_utf8(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let mut tokens = line.split_whitespace();
         let Some(cmd) = tokens.next() else { continue };
         match cmd.to_ascii_uppercase().as_str() {
@@ -571,6 +590,40 @@ scenario "net_unit" {
             .unwrap_err();
         assert!(err.contains("compile"), "error says why: {err}");
         client.ping().unwrap();
+        server.stop();
+        rt.shutdown();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn overlong_request_line_is_refused_and_closed() {
+        let path = tmp("overlong");
+        std::fs::remove_file(&path).ok();
+        let rt = ServerRuntime::start(&path, ServerConfig::default()).unwrap();
+        let mut server = Server::bind(rt.clone(), "127.0.0.1:0").unwrap();
+
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // 5,000 bytes and no newline: the server must stop reading at
+        // the cap instead of waiting for the line to end.
+        conn.write_all(&[b'A'; 5_000]).unwrap();
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, format!("err line exceeds {MAX_LINE_LEN} bytes\n"));
+        // Then the server hangs up: EOF, or a reset when bytes past the
+        // cap were still unread on its side at close.
+        let mut rest = Vec::new();
+        match reader.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "nothing after the refusal"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+        }
+
+        // The refusal closed that connection only.
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.ping().unwrap();
+
         server.stop();
         rt.shutdown();
         std::fs::remove_file(&path).ok();

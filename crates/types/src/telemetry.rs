@@ -9,6 +9,7 @@
 
 use crate::geo::{GeoPoint, Vec3};
 use crate::ids::UavId;
+use crate::inline::InlineVec;
 use crate::time::SimTime;
 
 /// The autopilot's top-level flight mode — the actuation vocabulary of the
@@ -103,8 +104,10 @@ pub struct UavTelemetry {
     pub battery_soc: f64,
     /// Battery temperature in °C.
     pub battery_temp_c: f64,
-    /// Per-motor health flags (`true` = operational).
-    pub motors_ok: Vec<bool>,
+    /// Per-motor health flags (`true` = operational). Inline for up to
+    /// eight motors, so cloning a snapshot onto the bus copies it instead
+    /// of allocating.
+    pub motors_ok: InlineVec<bool, 8>,
     /// GPS receiver output.
     pub gps: GpsFix,
     /// Vision sensor health in `[0, 1]` (1 = nominal).
@@ -126,7 +129,7 @@ impl UavTelemetry {
             velocity: Vec3::zero(),
             battery_soc: 1.0,
             battery_temp_c: 25.0,
-            motors_ok: vec![true; 4],
+            motors_ok: [true; 4].into_iter().collect(),
             gps: GpsFix {
                 position,
                 ..GpsFix::default()
@@ -183,7 +186,7 @@ mod tests {
     fn failed_motor_count() {
         let mut t =
             UavTelemetry::nominal(UavId::new(1), SimTime::ZERO, GeoPoint::new(35.0, 33.0, 0.0));
-        t.motors_ok = vec![true, false, true, false];
+        t.motors_ok = [true, false, true, false].into_iter().collect();
         assert_eq!(t.failed_motors(), 2);
     }
 }

@@ -56,17 +56,24 @@ impl SimCamera {
         position: &GeoPoint,
         persons: &'a [GeoPoint],
     ) -> Vec<&'a GeoPoint> {
-        if self.health <= 0.0 {
-            return Vec::new();
-        }
+        self.visible(position, persons).collect()
+    }
+
+    /// [`SimCamera::visible_persons`] as a lazy iterator, for callers
+    /// that copy the persons into a reused buffer.
+    pub fn visible<'a>(
+        &self,
+        position: &GeoPoint,
+        persons: &'a [GeoPoint],
+    ) -> impl Iterator<Item = &'a GeoPoint> + 'a {
+        // A dead camera sees nobody.
+        let persons = if self.health <= 0.0 { &[] } else { persons };
         let half = self.footprint_half_width_m(position.alt_m);
-        persons
-            .iter()
-            .filter(|p| {
-                let enu = p.to_enu(&position.with_alt(0.0));
-                enu.east_m.abs() <= half && enu.north_m.abs() <= half
-            })
-            .collect()
+        let ground = position.with_alt(0.0);
+        persons.iter().filter(move |p| {
+            let enu = p.to_enu(&ground);
+            enu.east_m.abs() <= half && enu.north_m.abs() <= half
+        })
     }
 
     /// Degrades the sensor (fault injection).

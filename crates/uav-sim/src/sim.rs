@@ -215,12 +215,17 @@ impl Simulator {
 
     /// Ground-truth persons visible to a UAV's camera right now.
     pub fn visible_persons(&self, uav: UavHandle) -> Vec<GeoPoint> {
+        let mut out = Vec::new();
+        self.visible_persons_into(uav, &mut out);
+        out
+    }
+
+    /// [`Simulator::visible_persons`] into a caller-owned buffer,
+    /// replacing its contents (no allocation once the buffer has grown).
+    pub fn visible_persons_into(&self, uav: UavHandle, out: &mut Vec<GeoPoint>) {
         let u = &self.uavs[uav.0];
-        u.camera
-            .visible_persons(&u.position, self.world.persons())
-            .into_iter()
-            .copied()
-            .collect()
+        out.clear();
+        out.extend(u.camera.visible(&u.position, self.world.persons()).copied());
     }
 
     /// Builds the current telemetry snapshot for a UAV. GPS is *not*
@@ -241,7 +246,7 @@ impl Simulator {
             velocity: u.velocity,
             battery_soc: u.battery.soc(),
             battery_temp_c: u.battery.temperature_c(),
-            motors_ok: u.propulsion.motors_ok().to_vec(),
+            motors_ok: u.propulsion.motors_ok().iter().copied().collect(),
             gps: fix,
             vision_health: u.camera.health,
             link_quality,
@@ -250,7 +255,7 @@ impl Simulator {
     }
 
     /// [`Simulator::telemetry`] into a caller-owned snapshot, reusing its
-    /// `motors_ok` buffer — the orchestrator refreshes a fleet-sized
+    /// `motors_ok` storage — the orchestrator refreshes a fleet-sized
     /// telemetry scratch every tick without per-UAV heap traffic. Field
     /// for field identical to [`Simulator::telemetry`].
     pub fn telemetry_into(&mut self, uav: UavHandle, out: &mut UavTelemetry) {

@@ -79,8 +79,22 @@ impl PersonDetector {
         visibility: f64,
         people: &[GeoPoint],
     ) -> Vec<Detection> {
-        let acc = self.accuracy(camera.alt_m, visibility);
         let mut out = Vec::new();
+        self.detect_frame_into(camera, visibility, people, &mut out);
+        out
+    }
+
+    /// [`PersonDetector::detect_frame`] into a caller-owned buffer,
+    /// replacing its contents (no allocation once the buffer has grown).
+    pub fn detect_frame_into(
+        &mut self,
+        camera: &GeoPoint,
+        visibility: f64,
+        people: &[GeoPoint],
+        out: &mut Vec<Detection>,
+    ) {
+        let acc = self.accuracy(camera.alt_m, visibility);
+        out.clear();
         for p in people {
             if self.rng.random::<f64>() < acc {
                 // Localization error grows with altitude: σ = 1 % of alt.
@@ -105,7 +119,6 @@ impl PersonDetector {
                 true_positive: false,
             });
         }
-        out
     }
 
     fn gaussian(&mut self) -> f64 {

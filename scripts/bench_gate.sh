@@ -110,6 +110,10 @@ gate BENCH_eddi.json  ticks_per_sec     0.5 eddibench
 # sharded/serial speedup hovers near 1.0 on small machines (Auto stays
 # serial below the core budget), so only the absolute floor is gated.
 gate BENCH_fleet.json uav_ticks_per_sec 0.5 fleetbench
+# Allocation ceilings: allocations per tick are deterministic for a fixed
+# workload, so more than 10% over baseline means a new per-UAV
+# allocation on the quiet path (DESIGN.md, "Hot-loop memory discipline").
+gate_max BENCH_fleet.json allocs_per_tick 1.1 fleetbench
 # Recovery workload: throughput under injected compute faults with the
 # full containment machinery live (isolation, quarantine, revival
 # probes, watchdog demotion). Floors only — the faulted/clean ratio
@@ -120,6 +124,7 @@ gate BENCH_recovery.json uav_ticks_per_sec 0.5 fleetbench-recovery
 # absolute ticks/sec floor.
 gate BENCH_tick.json speedup       0.8 tickbench
 gate BENCH_tick.json ticks_per_sec 0.5 tickbench
+gate_max BENCH_tick.json allocs_per_tick 1.1 tickbench
 # Campaign-service soak: absolute throughput floors (loose, wall-clock
 # bound) plus a tail-latency ceiling — submit→complete p99 more than 4x
 # the baseline means the scheduler or the log path got slow, even if
