@@ -32,7 +32,7 @@
 
 use crate::containment::ComputeFaultKind;
 use crate::scenario::{ScenarioBuilder, ScenarioOutcome, ScenarioTemplate};
-use crate::supervision::SupervisionConfig;
+use crate::supervision::FALLBACK_AFTER;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sesame_middleware::chaos::{CommFaultKind, LinkDirection};
@@ -501,7 +501,6 @@ impl ChaosCampaign {
         // the window actually elapsed before the run ended (a mission
         // that completes early never experiences a late-scheduled fault).
         if self.config.sesame {
-            let sup = SupervisionConfig::default();
             let margin = SimDuration::from_secs(2);
             let run_end = SimTime::ZERO
                 + SimDuration::from_millis(outcome.obs_metrics.counter("platform.ticks") * 100);
@@ -528,8 +527,8 @@ impl ChaosCampaign {
                         at,
                         duration,
                         kind: CommFaultKind::LinkBlackout { uav },
-                    } if *duration >= sup.fallback_after + margin
-                        && *at + sup.fallback_after + margin <= run_end
+                    } if *duration >= FALLBACK_AFTER + margin
+                        && *at + FALLBACK_AFTER + margin <= run_end
                         && !quarantine_prone.contains(&(uav.index() as usize - 1))
                 )
             });

@@ -1,5 +1,5 @@
-//! Crash containment: the compute-plane fault vocabulary, the scheduled
-//! compute-fault injector, and the tick watchdog.
+//! Crash containment: the compute-plane fault vocabulary and the
+//! scheduled compute-fault injector.
 //!
 //! PR 6's sharded tick made one UAV's panic everyone's problem: an
 //! unwound worker tore down the whole campaign. This module supplies the
@@ -12,24 +12,17 @@
 //! * [`ComputeFaultPlane`] — scheduled compute faults (EDDI panics,
 //!   NaN/Inf telemetry corruption, solver stalls) with the same
 //!   schedule / activate / expire lifecycle as the middleware's
-//!   `CommFaultPlane`, driven once per tick from `Platform::step`;
-//! * [`TickWatchdog`] — a logical (tick-count based, so determinism
-//!   holds) deadline monitor that demotes the tick to a one-shard plan
-//!   while a UAV keeps faulting or stalling;
-//! * [`QuarantineCell`] — the per-UAV bookkeeping of the
-//!   Quarantined state: entry fault, clean-probe streak and the bounded
-//!   exponential backoff of the revival probe.
+//!   `CommFaultPlane`, driven once per tick from `Platform::step`.
 //!
-//! Everything here is plain data plus pure bookkeeping; the actual
-//! `catch_unwind` sites, excision from the EDDI tick / airspace scan /
-//! ConSert composition, and the revival probe's fresh-engine ticks
-//! live in `core::orchestrator`, where the state they guard lives.
+//! What a fault *does* to a UAV — quarantine, revival probes, the tick
+//! watchdog — is the supervision kernel's policy ([`crate::supervision`]);
+//! the `catch_unwind` sites, excision from the EDDI tick / airspace scan /
+//! ConSert composition, and the revival probe's fresh-engine ticks live
+//! in `core::orchestrator`, where the state they guard lives.
 
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::UavTelemetry;
 use sesame_types::time::{SimDuration, SimTime};
-
-pub use crate::shard::{panic_message, TaskPanic};
 
 /// Where in the per-UAV tick a fault was isolated.
 ///
@@ -51,8 +44,6 @@ pub enum FaultPhase {
     Output,
     /// Organic panic inside the UAV's EDDI tick.
     EddiTick,
-    /// Organic panic inside the UAV's ConSert decision.
-    ConsertDecide,
 }
 
 impl FaultPhase {
@@ -63,7 +54,6 @@ impl FaultPhase {
             FaultPhase::Telemetry => "telemetry",
             FaultPhase::Output => "output",
             FaultPhase::EddiTick => "eddi_tick",
-            FaultPhase::ConsertDecide => "consert_decide",
         }
     }
 }
@@ -118,8 +108,8 @@ pub enum ComputeFaultKind {
         uav: usize,
     },
     /// The UAV's solver blows its logical tick deadline. Execution-plane
-    /// only: outputs are unchanged, but the [`TickWatchdog`] counts the
-    /// stall and eventually demotes the tick to a one-shard plan.
+    /// only: outputs are unchanged, but the supervision watchdog counts
+    /// the stall and eventually demotes the tick to a one-shard plan.
     SolverStall {
         /// Target fleet index.
         uav: usize,
@@ -240,29 +230,6 @@ impl ComputeFaultPlane {
         out
     }
 
-    /// Currently-active faults.
-    pub fn active(&self) -> Vec<ComputeFault> {
-        self.entries
-            .iter()
-            .filter(|(_, w)| *w == Window::Active)
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    /// Faults not yet activated.
-    pub fn pending(&self) -> Vec<ComputeFault> {
-        self.entries
-            .iter()
-            .filter(|(_, w)| *w == Window::Pending)
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    /// Every scheduled fault regardless of lifecycle state.
-    pub fn scheduled(&self) -> Vec<ComputeFault> {
-        self.entries.iter().map(|(f, _)| *f).collect()
-    }
-
     /// Whether an [`ComputeFaultKind::EddiPanic`] window is active for
     /// the UAV at fleet index `uav`.
     pub fn panic_armed(&self, uav: usize) -> bool {
@@ -305,117 +272,6 @@ impl ComputeFaultPlane {
     }
 }
 
-/// Logical tick-deadline watchdog: counts, per UAV, consecutive ticks in
-/// which the UAV faulted or its solver stalled, and trips once the
-/// streak reaches `trip_after`. The platform reacts to a trip by
-/// demoting the tick to a one-shard plan for a cooldown.
-///
-/// Strikes are per *UAV*, not per shard, so the trip schedule — and the
-/// `watchdog.trip` counter it drives — is identical under every
-/// [`crate::fleet::ShardPolicy`] (a shard-keyed count would depend on
-/// the partition layout and break bit-identity across shard counts).
-#[derive(Debug, Clone)]
-pub struct TickWatchdog {
-    strikes: Vec<u64>,
-    trip_after: u64,
-}
-
-impl TickWatchdog {
-    /// A watchdog over `fleet` UAVs tripping after `trip_after`
-    /// consecutive faulty ticks (clamped to at least 1).
-    pub fn new(fleet: usize, trip_after: u64) -> Self {
-        TickWatchdog {
-            strikes: vec![0; fleet],
-            trip_after: trip_after.max(1),
-        }
-    }
-
-    /// Feeds one tick's per-UAV fault/stall flags; returns the fleet
-    /// indices that tripped this tick (streak reached `trip_after`), in
-    /// fleet order. A tripped UAV's streak restarts, so a persistent
-    /// stall re-trips every `trip_after` ticks, extending the demotion.
-    pub fn observe(&mut self, faulted: &[bool]) -> Vec<usize> {
-        let mut tripped = Vec::new();
-        for (i, strikes) in self.strikes.iter_mut().enumerate() {
-            if faulted.get(i).copied().unwrap_or(false) {
-                *strikes += 1;
-                if *strikes >= self.trip_after {
-                    *strikes = 0;
-                    tripped.push(i);
-                }
-            } else {
-                *strikes = 0;
-            }
-        }
-        tripped
-    }
-
-    /// Current streak of the UAV at fleet index `uav`.
-    pub fn strikes(&self, uav: usize) -> u64 {
-        self.strikes.get(uav).copied().unwrap_or(0)
-    }
-}
-
-/// Per-UAV quarantine bookkeeping: the fault that triggered entry and
-/// the revival probe's streak / backoff state. The probe engine itself
-/// (a fresh reference EDDI) lives in the orchestrator's `UavRt`.
-#[derive(Debug, Clone)]
-pub struct QuarantineCell {
-    /// The fault that put the UAV here.
-    pub fault: UavFault,
-    /// Tick index at quarantine entry.
-    pub entered_tick: u64,
-    /// Consecutive clean probe ticks so far.
-    pub clean_ticks: u64,
-    /// Failed-probe count, bounded by the backoff cap.
-    pub backoff_exp: u32,
-    /// Next tick index at which the revival probe runs.
-    pub next_probe_tick: u64,
-}
-
-impl QuarantineCell {
-    /// Opens a cell at `tick` for `fault`; the first probe runs
-    /// `backoff_base` ticks later.
-    pub fn new(fault: UavFault, tick: u64, backoff_base: u64) -> Self {
-        QuarantineCell {
-            fault,
-            entered_tick: tick,
-            clean_ticks: 0,
-            backoff_exp: 0,
-            next_probe_tick: tick.saturating_add(backoff_base.max(1)),
-        }
-    }
-
-    /// Records a clean probe tick at `tick`: the streak advances and the
-    /// probe re-runs next tick (a revival candidate is probed every tick
-    /// until it either completes the streak or faults again).
-    pub fn probe_clean(&mut self, tick: u64) {
-        self.clean_ticks += 1;
-        self.next_probe_tick = tick + 1;
-    }
-
-    /// Records a failed probe at `tick`: the streak resets and the next
-    /// probe backs off exponentially, bounded by `cap`.
-    pub fn probe_failed(&mut self, tick: u64, backoff_base: u64, cap: u32) {
-        self.clean_ticks = 0;
-        self.backoff_exp = (self.backoff_exp + 1).min(cap);
-        let spacing = backoff_base.max(1).saturating_shl(self.backoff_exp);
-        self.next_probe_tick = tick.saturating_add(spacing);
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping — backoff
-/// spacings stay monotone even at absurd exponents.
-trait SaturatingShl {
-    fn saturating_shl(self, exp: u32) -> u64;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, exp: u32) -> u64 {
-        self.checked_shl(exp).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,7 +290,6 @@ mod tests {
             SimDuration::from_secs(3),
             ComputeFaultKind::EddiPanic { uav: 1 },
         );
-        assert_eq!(plane.pending().len(), 1);
         assert!(plane.step(SimTime::from_secs(4)).is_empty());
         assert!(!plane.panic_armed(1));
         let tr = plane.step(SimTime::from_secs(5));
@@ -447,7 +302,6 @@ mod tests {
         assert_eq!(tr.len(), 1);
         assert!(!tr[0].activated);
         assert!(!plane.panic_armed(1));
-        assert!(plane.active().is_empty());
     }
 
     #[test]
@@ -481,46 +335,6 @@ mod tests {
         let mut t = telemetry();
         assert!(plane.corrupt_telemetry(0, &mut t));
         assert_eq!(t.battery_soc, f64::INFINITY);
-    }
-
-    #[test]
-    fn watchdog_trips_on_consecutive_strikes_only() {
-        let mut wd = TickWatchdog::new(3, 3);
-        assert!(wd.observe(&[false, true, false]).is_empty());
-        assert!(wd.observe(&[false, true, false]).is_empty());
-        // A clean tick resets the streak.
-        assert!(wd.observe(&[false, false, false]).is_empty());
-        assert!(wd.observe(&[false, true, true]).is_empty());
-        assert!(wd.observe(&[false, true, true]).is_empty());
-        assert_eq!(wd.observe(&[false, true, true]), vec![1, 2]);
-        // The streak restarts after a trip.
-        assert_eq!(wd.strikes(1), 0);
-        assert!(wd.observe(&[false, true, false]).is_empty());
-    }
-
-    #[test]
-    fn quarantine_cell_backoff_is_bounded() {
-        let fault = UavFault {
-            uav: 0,
-            id: UavId::new(0),
-            at: SimTime::ZERO,
-            phase: FaultPhase::Injected,
-            message: "chaos".into(),
-        };
-        let mut cell = QuarantineCell::new(fault, 100, 16);
-        assert_eq!(cell.next_probe_tick, 116);
-        cell.probe_failed(116, 16, 3);
-        assert_eq!(cell.next_probe_tick, 116 + 32);
-        cell.probe_failed(148, 16, 3);
-        assert_eq!(cell.next_probe_tick, 148 + 64);
-        cell.probe_failed(212, 16, 3);
-        cell.probe_failed(340, 16, 3);
-        // Exponent saturates at the cap.
-        assert_eq!(cell.backoff_exp, 3);
-        assert_eq!(cell.next_probe_tick, 340 + 128);
-        cell.probe_clean(468);
-        assert_eq!(cell.clean_ticks, 1);
-        assert_eq!(cell.next_probe_tick, 469);
     }
 
     #[test]

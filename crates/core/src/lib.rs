@@ -75,4 +75,4 @@ pub use fleet::{FleetSpec, ShardPolicy, UavProfile};
 pub use orchestrator::{Platform, PlatformConfig};
 pub use reference::ReferenceEddiRuntime;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioOutcome};
-pub use supervision::{HealthState, SupervisionConfig};
+pub use supervision::HealthState;

@@ -15,9 +15,7 @@
 //! all.
 
 use crate::airspace::{chord_teammates, nearest_teammate, SeparationTable};
-use crate::containment::{
-    panic_message, ComputeFaultPlane, FaultPhase, QuarantineCell, TickWatchdog, UavFault,
-};
+use crate::containment::{ComputeFaultPlane, FaultPhase, UavFault};
 use crate::eddi::{EddiCacheStats, EddiOutputs, UavEddiRuntime};
 use crate::fleet::{shard_ranges, FleetSpec, ResolvedUavProfile};
 use crate::platform::database::DatabaseManager;
@@ -25,7 +23,11 @@ use crate::platform::gcs::{GroundControlStation, StatusSnapshot, UavStatusLine};
 use crate::platform::task_manager::TaskManager;
 use crate::platform::uav_manager::UavManager;
 use crate::reference::ReferenceEddiRuntime;
-use crate::supervision::{HealthState, HealthTransition, SupervisionConfig, UavSupervisor};
+use crate::shard::panic_message;
+use crate::supervision::{
+    Action, Cause, HealthState, Observation, Supervisor, HEARTBEAT_PERIOD, MAX_COMMAND_RETRIES,
+    RETRY_BACKOFF,
+};
 use sesame_collab_loc::agent::CollaborativeAgent;
 use sesame_collab_loc::session::{CollabSession, LandingGuidance};
 use sesame_conserts::catalog::{
@@ -97,9 +99,6 @@ pub struct PlatformConfig {
     pub motor_count: usize,
     /// Motor losses each airframe tolerates through reconfiguration.
     pub tolerated_motor_failures: usize,
-    /// Degraded-mode supervision: watchdog windows, heartbeat period and
-    /// command retry policy (see [`crate::supervision`]).
-    pub supervision: SupervisionConfig,
     /// Whether the incremental EDDI fast path runs (solver profile cache,
     /// presorted SafeML, SINADRA factor cache, attack-tree indexing,
     /// fingerprint-gated ConSerts). `false` selects the naive reference
@@ -125,7 +124,6 @@ impl Default for PlatformConfig {
             visibility: 1.0,
             motor_count: 4,
             tolerated_motor_failures: 0,
-            supervision: SupervisionConfig::default(),
             eddi_fast_path: true,
         }
     }
@@ -335,13 +333,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Overrides the degraded-mode supervision policy (watchdog windows,
-    /// heartbeat period, command retry budget).
-    pub fn supervision(mut self, cfg: SupervisionConfig) -> Self {
-        self.config.supervision = cfg;
-        self
-    }
-
     /// Enables or disables the incremental EDDI fast path (on by
     /// default). Disabling selects the naive reference runtimes.
     pub fn eddi_fast_path(mut self, on: bool) -> Self {
@@ -479,10 +470,6 @@ struct UavRt {
     detection_attempts: u64,
     detection_hits: u64,
     false_positives: u64,
-    /// `Some` while the UAV is quarantined after an isolated compute
-    /// fault: excised from EDDI evaluation, airspace scan and ConSert
-    /// composition until the revival probe re-admits it.
-    quarantine: Option<QuarantineCell>,
     /// The revival probe's fresh engine, built on the first probe after
     /// each backoff and promoted to `eddi` on release. The faulted
     /// engine in `eddi` is never ticked again — its internal state is
@@ -592,8 +579,10 @@ struct TickScratch {
     /// detector's output on them.
     persons: Vec<GeoPoint>,
     detections: Vec<Detection>,
-    /// Containment: which UAVs faulted or stalled this tick.
-    tick_faulted: Vec<bool>,
+    /// Supervision: this tick's per-UAV containment observations and
+    /// the kernel's actions.
+    observations: Vec<Observation>,
+    supervision: Vec<Action>,
 }
 
 /// One UAV's results from this tick's shard fan-outs: written by the
@@ -680,16 +669,17 @@ pub struct Platform {
     separation_hot: Vec<bool>,
     metrics: MetricsRegistry,
     trace: TraceLog,
-    supervisors: Vec<UavSupervisor>,
+    /// Every UAV's health, quarantine and watchdog state, and the
+    /// demotion deadline (see [`crate::supervision`]).
+    supervisor: Supervisor,
     comm_faults: CommFaultPlane,
     compute_faults: ComputeFaultPlane,
     /// Faults isolated during this tick's UAV pass, drained (in fleet
     /// order) by the containment step after supervision.
     pending_faults: Vec<UavFault>,
-    watchdog: TickWatchdog,
-    /// `Some(tick)` while the watchdog holds the tick demoted to a
-    /// one-shard plan; restored to `base_shards` at `tick`.
-    demoted_until_tick: Option<u64>,
+    /// The mission-level decision of the last ConSert pass (`None` on
+    /// the baseline, which has no decider).
+    mission_decision: Option<MissionDecision>,
     // BTreeMap, not HashMap: retries are re-published in iteration order,
     // and bus/RNG state must not depend on hash randomization.
     pending_cmds: BTreeMap<(Arc<str>, u64), PendingCommand>,
@@ -786,25 +776,10 @@ impl Platform {
             let id = handle.id();
             manager.register(id, handle, "matrice300-sim", &["rgb-camera", "jetson-nx"]);
             cmd_subs.push(bus.subscribe(format!("/{id}/cmd/#")));
-            let eddi = config.sesame_enabled.then(|| {
-                let seed = config.seed ^ ((i as u64 + 1) << 16);
-                if config.eddi_fast_path {
-                    EddiEngine::Fast(UavEddiRuntime::new(seed, config.safedrones.clone(), origin))
-                } else {
-                    EddiEngine::Reference(ReferenceEddiRuntime::new(
-                        seed,
-                        config.safedrones.clone(),
-                        origin,
-                    ))
-                }
-            });
-            let conserts = config.sesame_enabled.then(|| {
-                if config.eddi_fast_path {
-                    ConsertRuntime::Fast(IncrementalConsertNetwork::new(id.to_string()))
-                } else {
-                    ConsertRuntime::Reference(uav_consert_network(&id.to_string()))
-                }
-            });
+            let eddi = config.sesame_enabled.then(|| Self::eddi_engine(&config, i));
+            let conserts = config
+                .sesame_enabled
+                .then(|| Self::consert_runtime(&config, id));
             uavs.push(UavRt {
                 handle,
                 eddi,
@@ -821,7 +796,6 @@ impl Platform {
                 detection_attempts: 0,
                 detection_hits: 0,
                 false_positives: 0,
-                quarantine: None,
                 probe_eddi: None,
                 last_good_outputs: None,
                 frozen_outputs: None,
@@ -853,9 +827,7 @@ impl Platform {
             .map(|_| GeofenceMonitor::new(Geofence::around(sim.world(), 40.0, 150.0)))
             .collect();
         let separation_hot = vec![false; n];
-        let supervisors = (0..n).map(|_| UavSupervisor::new()).collect();
         let shards = shard_ranges(n, config.fleet.shard_policy().shard_count(n));
-        let watchdog = TickWatchdog::new(n, config.supervision.watchdog_trip_after);
         let eddi_eval_keys = (0..n).map(|i| format!("eddi.evals.uav{i}")).collect();
         let node_senders = ids_list
             .iter()
@@ -907,12 +879,11 @@ impl Platform {
             separation_hot,
             metrics: MetricsRegistry::new(),
             trace: TraceLog::default(),
-            supervisors,
+            supervisor: Supervisor::new(n),
             comm_faults: CommFaultPlane::new(),
             compute_faults: ComputeFaultPlane::new(),
             pending_faults: Vec::new(),
-            watchdog,
-            demoted_until_tick: None,
+            mission_decision: None,
             pending_cmds: BTreeMap::new(),
             next_heartbeat_at: SimTime::ZERO,
             base_shards: shards.clone(),
@@ -939,30 +910,22 @@ impl Platform {
         GeoPoint::new(35.05, 33.20, 0.0)
     }
 
-    /// A fresh EDDI engine for UAV `i`, seeded exactly as construction
-    /// seeds it. The engine kind follows the configured path, so a
+    /// A fresh EDDI engine for UAV `i`, as construction and the revival
+    /// probe build it. The engine kind follows the configured path, so a
     /// released UAV rejoins with the engine kind it left.
-    fn fresh_eddi_engine(&self, i: usize) -> EddiEngine {
-        let seed = self.config.seed ^ ((i as u64 + 1) << 16);
-        if self.config.eddi_fast_path {
-            EddiEngine::Fast(UavEddiRuntime::new(
-                seed,
-                self.config.safedrones.clone(),
-                Self::origin(),
-            ))
+    fn eddi_engine(config: &PlatformConfig, i: usize) -> EddiEngine {
+        let seed = config.seed ^ ((i as u64 + 1) << 16);
+        let (safedrones, origin) = (config.safedrones.clone(), Self::origin());
+        if config.eddi_fast_path {
+            EddiEngine::Fast(UavEddiRuntime::new(seed, safedrones, origin))
         } else {
-            EddiEngine::Reference(ReferenceEddiRuntime::new(
-                seed,
-                self.config.safedrones.clone(),
-                Self::origin(),
-            ))
+            EddiEngine::Reference(ReferenceEddiRuntime::new(seed, safedrones, origin))
         }
     }
 
-    /// A fresh ConSert runtime for UAV `i`, matching the configured path.
-    fn fresh_consert_runtime(&self, i: usize) -> ConsertRuntime {
-        let id = self.uavs[i].handle.id();
-        if self.config.eddi_fast_path {
+    /// A fresh ConSert runtime for UAV `id`, matching the configured path.
+    fn consert_runtime(config: &PlatformConfig, id: UavId) -> ConsertRuntime {
+        if config.eddi_fast_path {
             ConsertRuntime::Fast(IncrementalConsertNetwork::new(id.to_string()))
         } else {
             ConsertRuntime::Reference(uav_consert_network(&id.to_string()))
@@ -1001,7 +964,7 @@ impl Platform {
     /// # Panics
     /// Panics if `index` is out of range.
     pub fn health(&self, index: usize) -> HealthState {
-        self.supervisors[index].state()
+        self.supervisor.health(index)
     }
 
     /// The event log.
@@ -1106,26 +1069,19 @@ impl Platform {
     /// Publishes a GCS command with at-least-once delivery: the message
     /// is tracked until the UAV-side drain applies it, and re-published
     /// (under a fresh sequence number, with exponential backoff) up to
-    /// `max_command_retries` times if no acknowledgement arrives.
+    /// [`MAX_COMMAND_RETRIES`] times if no acknowledgement arrives.
     fn publish_command(&mut self, topic: Arc<str>, payload: Payload, attempts: u32) {
         let sender = Arc::clone(&self.gcs_sender);
         let seq = self.publish(&sender, Arc::clone(&topic), payload.clone());
-        if self.config.supervision.enabled {
-            let backoff_ms = self
-                .config
-                .supervision
-                .retry_backoff
-                .as_millis()
-                .saturating_mul(1u64 << attempts.min(16));
-            self.pending_cmds.insert(
-                (topic, seq),
-                PendingCommand {
-                    payload,
-                    attempts,
-                    next_retry_at: self.sim.now() + SimDuration::from_millis(backoff_ms),
-                },
-            );
-        }
+        let backoff_ms = RETRY_BACKOFF.as_millis() << attempts;
+        self.pending_cmds.insert(
+            (topic, seq),
+            PendingCommand {
+                payload,
+                attempts,
+                next_retry_at: self.sim.now() + SimDuration::from_millis(backoff_ms),
+            },
+        );
     }
 
     /// Uploads a route to a UAV over the (attackable) command channel.
@@ -1206,8 +1162,8 @@ impl Platform {
 
         // ---- GCS heartbeat (per-UAV, signed, over the lossy bus) ----
         // Each UAV's supervisor measures uplink liveness from these.
-        if self.config.supervision.enabled && now >= self.next_heartbeat_at {
-            self.next_heartbeat_at = now + self.config.supervision.heartbeat_period;
+        if now >= self.next_heartbeat_at {
+            self.next_heartbeat_at = now + HEARTBEAT_PERIOD;
             let sender = Arc::clone(&self.gcs_sender);
             for i in 0..self.uavs.len() {
                 let topic = Arc::clone(&self.heartbeat_topics[i]);
@@ -1258,13 +1214,11 @@ impl Platform {
         let mut tapped = std::mem::take(&mut self.scratch.tapped);
         self.drain_or_degrade(self.ids_tap, format_args!("ids_tap"), now, &mut tapped);
         // Telemetry-staleness watchdog: any telemetry that actually
-        // survived the lossy bus refreshes its UAV's supervisor.
-        if self.config.supervision.enabled {
-            for msg in &tapped {
-                if let Payload::Telemetry(tel) = &msg.payload {
-                    if let Some(idx) = self.uav_index(tel.uav) {
-                        self.supervisors[idx].record_telemetry(now);
-                    }
+        // survived the lossy bus refreshes its UAV's link signal.
+        for msg in &tapped {
+            if let Payload::Telemetry(tel) = &msg.payload {
+                if let Some(idx) = self.uav_index(tel.uav) {
+                    self.supervisor.telemetry_seen(idx, now);
                 }
             }
         }
@@ -1325,7 +1279,7 @@ impl Platform {
                 // GCS heartbeat: refreshes the UAV-side link watchdog,
                 // is not a flight command.
                 if matches!(&msg.payload, Payload::Text(s) if s == "heartbeat") {
-                    self.supervisors[i].record_heartbeat(now);
+                    self.supervisor.heartbeat_heard(i, now);
                     self.metrics.inc("supervision.heartbeats_received");
                     continue;
                 }
@@ -1358,14 +1312,12 @@ impl Platform {
         self.scratch.cmds = cmds;
 
         // ---- Degraded-mode supervision ----
-        if self.config.supervision.enabled {
-            self.step_supervision(now);
-        }
+        self.step_supervision(now);
 
         // ---- Crash containment ----
-        // Always on with SESAME (a panic must never abort the campaign,
-        // whatever the supervision config says): quarantine this tick's
-        // isolated faults, run the revival probes, feed the watchdog.
+        // With SESAME only (the baseline runs no EDDI that could fault):
+        // quarantine this tick's isolated faults, run the revival probes,
+        // feed the watchdog.
         if self.config.sesame_enabled {
             self.step_containment(&telemetries, now);
         }
@@ -1806,7 +1758,7 @@ impl Platform {
             // EDDI tick (SESAME only; a quarantined UAV's engine is
             // frozen — the revival probe, not the tick, exercises it).
             slots[i].admitted = false;
-            if self.uavs[i].eddi.is_none() || self.uavs[i].quarantine.is_some() {
+            if self.uavs[i].eddi.is_none() || self.supervisor.quarantined(i) {
                 continue;
             }
             if let Some(fault) = self.eval_guard(i, tel, now) {
@@ -1885,16 +1837,13 @@ impl Platform {
         // subject and as teammate (its telemetry may be the corrupt
         // readings that faulted it); the geofence — which watches true
         // position — keeps running.
+        let supervisor = &self.supervisor;
         let mut teammates = std::mem::take(&mut self.scratch.teammates);
-        chord_teammates(
-            telemetries,
-            |j| self.uavs[j].quarantine.is_some(),
-            &mut teammates,
-        );
+        chord_teammates(telemetries, |j| supervisor.quarantined(j), &mut teammates);
         let mut slots = std::mem::take(&mut self.scratch.slots);
         slots.resize_with(n, UavSlot::default);
-        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, rt, slot| {
-            if sesame && telemetries[i].mode == FlightMode::Mission && rt.quarantine.is_none() {
+        fan_out(&self.shards, &mut self.uavs, &mut slots, |i, _, slot| {
+            if sesame && telemetries[i].mode == FlightMode::Mission && !supervisor.quarantined(i) {
                 slot.proximity = nearest_teammate(i, telemetries, &teammates);
             }
         });
@@ -1954,27 +1903,19 @@ impl Platform {
         }
     }
 
-    /// One supervision tick: run each UAV's health watchdog, command the
-    /// safe fallback on demotion, and re-publish unacknowledged commands
-    /// whose backoff expired.
+    /// The staleness half of supervision: apply the kernel's link
+    /// transitions, publish every UAV's health gauge, and re-publish
+    /// unacknowledged commands whose backoff expired.
     fn step_supervision(&mut self, now: SimTime) {
-        let cfg = self.config.supervision.clone();
+        let mut actions = std::mem::take(&mut self.scratch.supervision);
+        actions.clear();
+        self.supervisor.assess_links(now, &mut actions);
+        self.apply_supervision(&actions, &mut std::iter::empty(), now);
+        self.scratch.supervision = actions;
         for i in 0..self.uavs.len() {
-            if let Some(tr) = self.supervisors[i].assess(now, &cfg) {
-                self.record_health_transition(i, &tr, now);
-                // The minimal-risk manoeuvre: a cut-off UAV heads home on
-                // its own authority (the CL landing pipeline keeps
-                // priority — it already owns the vehicle).
-                if tr.to == HealthState::SafeFallback && !self.uavs[i].cl_landing {
-                    let h = self.uavs[i].handle;
-                    if self.sim.mode(h).is_airborne() {
-                        self.sim.command(h, FlightCommand::ReturnToBase);
-                    }
-                }
-            }
             self.metrics.set_gauge(
                 &self.supervision_state_keys[i],
-                self.supervisors[i].state().as_gauge(),
+                self.supervisor.health(i).as_gauge(),
             );
         }
 
@@ -1991,7 +1932,7 @@ impl Platform {
             let Some(pc) = self.pending_cmds.remove(&key) else {
                 continue;
             };
-            if pc.attempts >= cfg.max_command_retries {
+            if pc.attempts >= MAX_COMMAND_RETRIES {
                 self.metrics.inc("commands.retry_exhausted");
                 self.trace.push(
                     now.as_millis(),
@@ -2015,24 +1956,238 @@ impl Platform {
         }
     }
 
+    /// The containment half of supervision: gather this tick's
+    /// observations — isolated faults, solver stalls and the results of
+    /// the due revival probes — run the kernel over them and apply its
+    /// actions. The faults are sorted by fleet index first, so the order
+    /// never depends on which step of the tick isolated them.
+    fn step_containment(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
+        let n = self.uavs.len();
+        let tick = self.total_ticks;
+        let mut faults = std::mem::take(&mut self.pending_faults);
+        faults.sort_by_key(|f| f.uav);
+        let mut observations = std::mem::take(&mut self.scratch.observations);
+        observations.clear();
+        observations.resize(n, Observation::default());
+        for f in &faults {
+            observations[f.uav].fault = true;
+        }
+        for i in 0..n {
+            // A solver stall is execution-plane only — outputs are
+            // unchanged — but it strikes the watchdog like a fault.
+            if self.compute_faults.stalled(i) {
+                self.metrics.inc("uav.fault.solver_stall_ticks");
+                observations[i].stalled = true;
+            }
+            if self.supervisor.probe_due(i, tick) {
+                observations[i].probe = Some(self.run_probe(i, &telemetries[i], now));
+            }
+        }
+        let mut actions = std::mem::take(&mut self.scratch.supervision);
+        actions.clear();
+        self.supervisor
+            .contain(tick, now, &observations, &mut actions);
+        self.apply_supervision(&actions, &mut faults.drain(..), now);
+        self.pending_faults = faults;
+        self.scratch.observations = observations;
+        self.scratch.supervision = actions;
+        self.metrics.set_gauge(
+            "uav.quarantine.active",
+            self.supervisor.quarantine_count() as f64,
+        );
+    }
+
+    /// One revival probe of quarantined UAV `i` on a *fresh* engine (the
+    /// faulted one is suspect after its unwind). A probe is clean when
+    /// the tick's own guards pass — [`Self::eval_guard`], a tick that
+    /// does not panic, [`Self::output_guard`]. A failed input guard fails
+    /// the probe without burning a tick on the engine.
+    fn run_probe(&mut self, i: usize, tel: &UavTelemetry, now: SimTime) -> bool {
+        if self.eval_guard(i, tel, now).is_some() {
+            return false;
+        }
+        if self.uavs[i].probe_eddi.is_none() {
+            self.uavs[i].probe_eddi = Some(Self::eddi_engine(&self.config, i));
+        }
+        let remaining = self.estimated_remaining_mission(tel.uav);
+        let scene = SceneCondition {
+            altitude_m: tel.true_position.alt_m,
+            visibility: self.sim.world().visibility(),
+        };
+        // Invariant: built two statements above when absent.
+        let eddi = self.uavs[i].probe_eddi.as_mut().expect("built above");
+        eddi.set_remaining_mission(remaining);
+        // Unwind safety: a failed probe drops the engine (see
+        // `Action::Probed`), so a panicking one is never ticked again.
+        crate::shard::quiet_catch_unwind(|| eddi.tick(tel, &scene))
+            .is_ok_and(|out| Self::output_guard(i, tel.uav, &out, now).is_none())
+    }
+
+    /// Applies the supervision kernel's actions in order. `faults` yields
+    /// this tick's isolated faults in fleet order, one per
+    /// [`Action::Isolated`].
+    fn apply_supervision(
+        &mut self,
+        actions: &[Action],
+        faults: &mut impl Iterator<Item = UavFault>,
+        now: SimTime,
+    ) {
+        let mut fault = None;
+        for &action in actions {
+            match action {
+                Action::Isolated { uav } => {
+                    let f = faults.next().expect("one fault per isolated action");
+                    debug_assert_eq!(f.uav, uav);
+                    self.metrics.inc("uav.fault.isolated");
+                    self.metrics.inc(&format!("uav.fault.phase.{}", f.phase));
+                    self.trace.push(
+                        now.as_millis(),
+                        TraceEvent::UavFault {
+                            uav: f.id.to_string(),
+                            phase: f.phase.as_str().to_string(),
+                            detail: f.message.clone(),
+                        },
+                    );
+                    self.events.push(
+                        now,
+                        SystemEvent::MonitorFinding {
+                            uav: f.id,
+                            monitor: "containment".into(),
+                            severity: Severity::Critical,
+                            detail: f.describe(),
+                        },
+                    );
+                    fault = Some(f);
+                }
+                Action::Transition {
+                    uav: i,
+                    from,
+                    to,
+                    cause,
+                } => {
+                    let reason = match cause {
+                        Cause::Fault => fault
+                            .as_ref()
+                            .expect("a quarantine follows its isolated fault")
+                            .describe(),
+                        Cause::LinksFresh => "links fresh again".to_string(),
+                        Cause::TelemetryStale(age) => {
+                            format!("telemetry stale {:.1} s", age.as_secs_f64())
+                        }
+                        Cause::HeartbeatStale(age) => {
+                            format!("heartbeat stale {:.1} s", age.as_secs_f64())
+                        }
+                        Cause::ProbeStreakClean => "revival probe streak clean".to_string(),
+                    };
+                    let rt = &mut self.uavs[i];
+                    if to == HealthState::Quarantined {
+                        // Snapshots serve the last-known-good outputs; the
+                        // faulted engine stays in place, never ticked again.
+                        self.metrics.inc("uav.quarantine.entered");
+                        rt.frozen_outputs = rt.last_good_outputs.clone();
+                        rt.probe_eddi = None;
+                    } else if from == HealthState::Quarantined {
+                        // Promote the probe engine, whose state reflects the
+                        // recent telemetry, and rebuild the ConSerts fresh.
+                        self.metrics.inc("uav.quarantine.released");
+                        let promoted = rt.probe_eddi.take();
+                        rt.eddi = Some(promoted.expect("release follows a clean probe streak"));
+                        rt.frozen_outputs = None;
+                        rt.last_good_outputs = None;
+                        if rt.conserts.is_some() {
+                            rt.conserts = Some(Self::consert_runtime(&self.config, rt.handle.id()));
+                        }
+                    }
+                    self.record_health_transition(i, from, to, reason, now);
+                    // The minimal-risk manoeuvre: a cut-off UAV heads home
+                    // on its own authority, a quarantined one is commanded
+                    // over the retrying GCS channel. The CL landing pipeline
+                    // keeps priority: it already owns the vehicle.
+                    let (h, id) = (self.uavs[i].handle, self.uavs[i].handle.id());
+                    let rtb = !self.uavs[i].cl_landing && self.sim.mode(h).is_airborne();
+                    match to {
+                        HealthState::SafeFallback if rtb => {
+                            self.sim.command(h, FlightCommand::ReturnToBase)
+                        }
+                        HealthState::Quarantined if rtb => self.publish_command(
+                            format!("/{id}/cmd/mode").into(),
+                            Payload::ModeCommand {
+                                uav: id,
+                                mode: "rtb".into(),
+                            },
+                            0,
+                        ),
+                        HealthState::Nominal if from == HealthState::Quarantined => {
+                            self.events.push(
+                                now,
+                                SystemEvent::Note(format!("{id}: released from quarantine")),
+                            )
+                        }
+                        _ => {}
+                    }
+                }
+                Action::Probed { uav, clean } => {
+                    self.metrics.inc("uav.quarantine.probes");
+                    if !clean {
+                        self.metrics.inc("uav.quarantine.probe_failures");
+                        // The probe engine's state is suspect after a
+                        // failed probe — rebuild fresh at the next attempt.
+                        self.uavs[uav].probe_eddi = None;
+                    }
+                }
+                // The demotion runs on every plan — vacuously on a one-shard
+                // plan — so the `watchdog.*` counters are identical across
+                // shard policies.
+                Action::WatchdogTrip { uav, fresh } => {
+                    let id = self.uavs[uav].handle.id();
+                    self.metrics.inc("watchdog.trip");
+                    self.trace.push(
+                        now.as_millis(),
+                        TraceEvent::WatchdogTrip {
+                            uav: id.to_string(),
+                        },
+                    );
+                    self.events.push(
+                        now,
+                        SystemEvent::Note(format!(
+                            "{id}: tick watchdog tripped, demoting to serial"
+                        )),
+                    );
+                    if fresh {
+                        self.metrics.inc("watchdog.demotions");
+                    }
+                    self.shards = shard_ranges(self.uavs.len(), 1);
+                }
+                Action::Demoted => self.metrics.inc("watchdog.demoted_ticks"),
+                Action::Restored => self.shards = self.base_shards.clone(),
+            }
+        }
+    }
+
     /// Records one UAV's health transition: counters, trace and the
-    /// supervision event. Shared by the staleness watchdog path and the
-    /// containment layer's quarantine/release transitions.
-    fn record_health_transition(&mut self, i: usize, tr: &HealthTransition, now: SimTime) {
+    /// supervision event.
+    fn record_health_transition(
+        &mut self,
+        i: usize,
+        from: HealthState,
+        to: HealthState,
+        reason: String,
+        now: SimTime,
+    ) {
         let id = self.uavs[i].handle.id();
         self.metrics.inc("supervision.transitions");
-        self.metrics
-            .inc(&format!("supervision.to_{}", tr.to.as_str()));
+        self.metrics.inc(&format!("supervision.to_{}", to.as_str()));
+        let detail = format!("{from} -> {to}: {reason}");
         self.trace.push(
             now.as_millis(),
             TraceEvent::HealthTransition {
                 uav: id.to_string(),
-                from: tr.from.as_str().to_string(),
-                to: tr.to.as_str().to_string(),
-                reason: tr.reason.clone(),
+                from: from.as_str().to_string(),
+                to: to.as_str().to_string(),
+                reason,
             },
         );
-        let severity = match tr.to {
+        let severity = match to {
             HealthState::Nominal => Severity::Info,
             HealthState::Degraded => Severity::Warning,
             HealthState::SafeFallback | HealthState::Quarantined => Severity::Critical,
@@ -2043,238 +2198,8 @@ impl Platform {
                 uav: id,
                 monitor: "supervision".into(),
                 severity,
-                detail: format!("{} -> {}: {}", tr.from, tr.to, tr.reason),
+                detail,
             },
-        );
-    }
-
-    /// The containment step: quarantine this tick's isolated faults, run
-    /// the revival probes, feed the tick watchdog. Serial and in fleet
-    /// order — the pending faults are sorted by fleet index first, so the
-    /// processing order never depends on which step of the tick isolated
-    /// them.
-    fn step_containment(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
-        let n = self.uavs.len();
-        let mut faults = std::mem::take(&mut self.pending_faults);
-        faults.sort_by_key(|f| f.uav);
-        let mut tick_faulted = std::mem::take(&mut self.scratch.tick_faulted);
-        tick_faulted.clear();
-        tick_faulted.resize(n, false);
-        for f in &faults {
-            tick_faulted[f.uav] = true;
-        }
-        // A solver stall is execution-plane only — outputs are
-        // unchanged — but it strikes the watchdog like a fault.
-        for (i, flag) in tick_faulted.iter_mut().enumerate() {
-            if self.compute_faults.stalled(i) {
-                self.metrics.inc("uav.fault.solver_stall_ticks");
-                *flag = true;
-            }
-        }
-        for fault in faults {
-            self.metrics.inc("uav.fault.isolated");
-            self.metrics
-                .inc(&format!("uav.fault.phase.{}", fault.phase));
-            self.trace.push(
-                now.as_millis(),
-                TraceEvent::UavFault {
-                    uav: fault.id.to_string(),
-                    phase: fault.phase.as_str().to_string(),
-                    detail: fault.message.clone(),
-                },
-            );
-            self.events.push(
-                now,
-                SystemEvent::MonitorFinding {
-                    uav: fault.id,
-                    monitor: "containment".into(),
-                    severity: Severity::Critical,
-                    detail: fault.describe(),
-                },
-            );
-            if self.uavs[fault.uav].quarantine.is_none() {
-                self.enter_quarantine(fault, now);
-            }
-        }
-
-        self.step_revival_probes(telemetries, now);
-
-        // The logical tick watchdog: a UAV faulting or stalling
-        // `watchdog_trip_after` ticks in a row demotes the tick to a
-        // one-shard plan for a cooldown. The demotion state machine runs
-        // on every plan — on a one-shard plan it is vacuous but its
-        // counters still tick, keeping the wall-clock-free metrics
-        // identical across shard policies.
-        let tripped = self.watchdog.observe(&tick_faulted);
-        self.scratch.tick_faulted = tick_faulted;
-        for i in tripped {
-            let id = self.uavs[i].handle.id();
-            self.metrics.inc("watchdog.trip");
-            self.trace.push(
-                now.as_millis(),
-                TraceEvent::WatchdogTrip {
-                    uav: id.to_string(),
-                },
-            );
-            self.events.push(
-                now,
-                SystemEvent::Note(format!("{id}: tick watchdog tripped, demoting to serial")),
-            );
-            if self.demoted_until_tick.is_none() {
-                self.metrics.inc("watchdog.demotions");
-            }
-            // A re-trip while demoted extends the cooldown.
-            self.demoted_until_tick =
-                Some(self.total_ticks + self.config.supervision.watchdog_cooldown_ticks);
-            self.shards = shard_ranges(n, 1);
-        }
-        if let Some(until) = self.demoted_until_tick {
-            if self.total_ticks >= until {
-                self.demoted_until_tick = None;
-                self.shards = self.base_shards.clone();
-            } else {
-                self.metrics.inc("watchdog.demoted_ticks");
-            }
-        }
-
-        let active = self.uavs.iter().filter(|u| u.quarantine.is_some()).count();
-        self.metrics
-            .set_gauge("uav.quarantine.active", active as f64);
-    }
-
-    /// Quarantine entry: freeze the last-known-good outputs, mark the
-    /// health state machine, and command RTB over the at-least-once GCS
-    /// channel. The faulted engine stays in place but is never ticked
-    /// again — a release promotes a fresh probe engine over it.
-    fn enter_quarantine(&mut self, fault: UavFault, now: SimTime) {
-        let i = fault.uav;
-        let id = fault.id;
-        self.metrics.inc("uav.quarantine.entered");
-        self.uavs[i].frozen_outputs = self.uavs[i].last_good_outputs.clone();
-        self.uavs[i].probe_eddi = None;
-        let reason = fault.describe();
-        let cell = QuarantineCell::new(
-            fault,
-            self.total_ticks,
-            self.config.supervision.revival_backoff_ticks,
-        );
-        self.uavs[i].quarantine = Some(cell);
-        if let Some(tr) = self.supervisors[i].quarantine(reason) {
-            self.record_health_transition(i, &tr, now);
-        }
-        // The minimal-risk manoeuvre, over the retrying command channel
-        // (the CL landing pipeline keeps priority — it owns the vehicle).
-        if !self.uavs[i].cl_landing && self.sim.mode(self.uavs[i].handle).is_airborne() {
-            self.publish_command(
-                format!("/{id}/cmd/mode").into(),
-                Payload::ModeCommand {
-                    uav: id,
-                    mode: "rtb".into(),
-                },
-                0,
-            );
-        }
-    }
-
-    /// The bounded-backoff revival probes: a quarantined UAV is probed
-    /// on a *fresh* engine (the faulted one is suspect after its unwind)
-    /// and released once `revival_clean_ticks` consecutive probes come
-    /// back clean — no armed panic, finite inputs, a tick that neither
-    /// panics nor produces non-finite outputs.
-    fn step_revival_probes(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
-        if !self.config.supervision.quarantine_enabled {
-            return; // retire mode: quarantined UAVs stay out for the run
-        }
-        let cfg = self.config.supervision.clone();
-        let visibility = self.sim.world().visibility();
-        for i in 0..self.uavs.len() {
-            let due = self.uavs[i]
-                .quarantine
-                .as_ref()
-                .is_some_and(|cell| self.total_ticks >= cell.next_probe_tick);
-            if !due {
-                continue;
-            }
-            self.metrics.inc("uav.quarantine.probes");
-            let tel = &telemetries[i];
-            // A probe can only be clean when the environment is: an
-            // armed panic window or corrupt telemetry fails it up front
-            // (without burning a tick on the probe engine).
-            let mut clean = !self.compute_faults.panic_armed(i)
-                && [
-                    tel.battery_soc,
-                    tel.battery_temp_c,
-                    tel.vision_health,
-                    tel.link_quality,
-                ]
-                .iter()
-                .all(|v| v.is_finite());
-            if clean {
-                if self.uavs[i].probe_eddi.is_none() {
-                    let fresh = self.fresh_eddi_engine(i);
-                    self.uavs[i].probe_eddi = Some(fresh);
-                }
-                let remaining = self.estimated_remaining_mission(tel.uav);
-                let scene = SceneCondition {
-                    altitude_m: tel.true_position.alt_m,
-                    visibility,
-                };
-                // Invariant: built two statements above when absent.
-                let eddi = self.uavs[i].probe_eddi.as_mut().expect("built above");
-                eddi.set_remaining_mission(remaining);
-                // Unwind safety: a panicking probe engine is dropped and
-                // rebuilt fresh at the next attempt.
-                clean = match crate::shard::quiet_catch_unwind(|| eddi.tick(tel, &scene)) {
-                    Ok(out) => {
-                        out.reliability.pof.is_finite() && out.combined_uncertainty.is_finite()
-                    }
-                    Err(_) => false,
-                };
-            }
-            let tick = self.total_ticks;
-            if clean {
-                // Invariant: `due` above proved the cell exists.
-                let cell = self.uavs[i].quarantine.as_mut().expect("checked above");
-                cell.probe_clean(tick);
-                if cell.clean_ticks >= cfg.revival_clean_ticks {
-                    self.release_from_quarantine(i, now);
-                }
-            } else {
-                self.metrics.inc("uav.quarantine.probe_failures");
-                // The probe engine's state is suspect after a failed
-                // probe — rebuild fresh at the next attempt.
-                self.uavs[i].probe_eddi = None;
-                // Invariant: `due` above proved the cell exists.
-                let cell = self.uavs[i].quarantine.as_mut().expect("checked above");
-                cell.probe_failed(tick, cfg.revival_backoff_ticks, cfg.revival_backoff_cap);
-            }
-        }
-    }
-
-    /// Re-admission after a clean probe streak: the probe engine — whose
-    /// state now reflects the recent telemetry — is promoted over the
-    /// faulted one, the ConSert runtime is rebuilt fresh, and the health
-    /// state machine returns to Nominal with fresh link signals.
-    fn release_from_quarantine(&mut self, i: usize, now: SimTime) {
-        let id = self.uavs[i].handle.id();
-        self.metrics.inc("uav.quarantine.released");
-        let promoted = self.uavs[i].probe_eddi.take();
-        // Invariant: a release follows `revival_clean_ticks` clean
-        // probes, each of which ticked the probe engine.
-        self.uavs[i].eddi = Some(promoted.expect("release follows a clean probe streak"));
-        if self.uavs[i].conserts.is_some() {
-            let fresh = self.fresh_consert_runtime(i);
-            self.uavs[i].conserts = Some(fresh);
-        }
-        self.uavs[i].quarantine = None;
-        self.uavs[i].frozen_outputs = None;
-        self.uavs[i].last_good_outputs = None;
-        if let Some(tr) = self.supervisors[i].release(now, "revival probe streak clean") {
-            self.record_health_transition(i, &tr, now);
-        }
-        self.events.push(
-            now,
-            SystemEvent::Note(format!("{id}: released from quarantine")),
         );
     }
 
@@ -2397,20 +2322,23 @@ impl Platform {
         let n = self.uavs.len();
         let airborne: usize = telemetries.iter().filter(|t| t.mode.is_airborne()).count();
         // A cut-off UAV is already flying home under supervision
-        // authority; declaring it aborting lets the mission decider
-        // redistribute its remaining tasks.
-        let supervision = self.config.supervision.enabled;
-        let supervisors = &self.supervisors;
-        let fallback =
-            |i: usize| supervision && supervisors[i].state() == HealthState::SafeFallback;
+        // authority, and a quarantined one is excised (its engine state is
+        // suspect and containment already commanded RTB); declaring either
+        // aborting lets the mission decider redistribute its remaining
+        // tasks.
+        let supervisor = &self.supervisor;
+        let withdrawn = |i: usize| {
+            matches!(
+                supervisor.health(i),
+                HealthState::SafeFallback | HealthState::Quarantined
+            )
+        };
         let uav_names = &self.uav_names;
         let mut slots = std::mem::take(&mut self.scratch.slots);
         slots.resize_with(n, UavSlot::default);
         fan_out(&self.shards, &mut self.uavs, &mut slots, |i, rt, slot| {
-            // A CL-landing UAV is under CL control; a quarantined one is
-            // excised (its engine state is suspect and containment
-            // already commanded RTB).
-            if rt.cl_landing || rt.quarantine.is_some() || fallback(i) {
+            // A CL-landing UAV is under CL control.
+            if rt.cl_landing || withdrawn(i) {
                 return;
             }
             let (Some(eddi), Some(conserts)) = (&rt.eddi, rt.conserts.as_mut()) else {
@@ -2436,7 +2364,7 @@ impl Platform {
                 actions.push(UavAction::EmergencyLand); // under CL control
                 continue;
             }
-            if self.uavs[i].quarantine.is_some() || fallback(i) {
+            if withdrawn(i) {
                 actions.push(UavAction::ReturnToBase);
                 continue;
             }
@@ -2472,6 +2400,7 @@ impl Platform {
         // Mission-level decider.
         span.enter(phase::DECIDE);
         let decision = decide_mission(&actions);
+        self.mission_decision = Some(decision);
         if decision == MissionDecision::RedistributeTasks {
             // Redistribute the tasks of every aborting UAV once.
             for i in 0..n {
@@ -2556,7 +2485,7 @@ impl Platform {
                 consert_action: self.manager.last_action(tel.uav),
                 // A quarantined engine's state is suspect: report the
                 // last-known-good outputs frozen at entry instead.
-                pof: if self.uavs[i].quarantine.is_some() {
+                pof: if self.supervisor.quarantined(i) {
                     self.uavs[i]
                         .frozen_outputs
                         .as_ref()
@@ -2572,10 +2501,9 @@ impl Platform {
         StatusSnapshot {
             time: now,
             uavs,
-            mission_decision: None,
+            mission_decision: self.mission_decision,
             completion: self.tasks.completion(),
             persons_found: self.tasks.mission().findings().len(),
-            metrics: self.metrics.snapshot(),
         }
     }
 
@@ -2871,14 +2799,27 @@ mod tests {
         }
         assert!(m.gauge("fleet.airborne").is_some());
         assert!(m.counter("bus.published") > 0);
-
-        // The GCS snapshot carries the same registry, condensed.
-        let snap = p.gcs().latest().expect("5 s boundary passed");
-        assert!(snap.metrics.counter("platform.ticks") > 0);
         assert_eq!(
             p.metrics_snapshot().counter("platform.ticks"),
             m.counter("platform.ticks")
         );
+    }
+
+    #[test]
+    fn snapshot_reports_the_mission_decision_only_with_sesame() {
+        for sesame in [true, false] {
+            let mut p = Platform::new(PlatformConfig {
+                sesame_enabled: sesame,
+                ..quick_config()
+            });
+            p.launch();
+            for _ in 0..50 {
+                p.step();
+            }
+            let snap = p.gcs().latest().expect("5 s boundary passed");
+            let expected = sesame.then_some(MissionDecision::CompleteAsPlanned);
+            assert_eq!(snap.mission_decision, expected, "sesame = {sesame}");
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! status boxes and the red SESAME-output box of Fig. 4 as plain data.
 
 use sesame_conserts::catalog::{MissionDecision, UavAction};
-use sesame_obs::MetricsSnapshot;
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::FlightMode;
@@ -42,8 +41,6 @@ pub struct StatusSnapshot {
     pub completion: f64,
     /// De-duplicated person findings so far.
     pub persons_found: usize,
-    /// Platform metrics at the instant of the snapshot.
-    pub metrics: MetricsSnapshot,
 }
 
 impl StatusSnapshot {
@@ -124,7 +121,6 @@ mod tests {
             mission_decision: Some(MissionDecision::CompleteAsPlanned),
             completion: 0.42,
             persons_found: 2,
-            metrics: MetricsSnapshot::default(),
         }
     }
 

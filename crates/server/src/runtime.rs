@@ -31,6 +31,7 @@ use crate::log::{self, LogError, Record, RunLog};
 use crate::stream::{Fanout, StreamEvent};
 use sesame_core::checkpoint::digest_platform;
 use sesame_core::scenario::Scenario;
+use sesame_core::shard::panic_message;
 use sesame_obs::MetricsSnapshot;
 use sesame_scenario_dsl::CompiledScenario;
 use std::collections::{BTreeMap, VecDeque};
@@ -653,16 +654,6 @@ fn mark_failed(state: &mut State, fanout: &Fanout, job_id: u64, error: String) {
         job: JobId(job_id),
         error,
     });
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Progress handed to the streaming observer every `every` ticks.

@@ -28,12 +28,12 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates a time from milliseconds since start.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms)
     }
 
     /// Creates a time from whole seconds since start.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1000)
     }
 
@@ -95,12 +95,12 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms)
     }
 
     /// Creates a duration from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1000)
     }
 
