@@ -20,6 +20,14 @@
 //! bit after the timed runs. The run aborts on the first divergence, so
 //! the speedup is never measured against a runtime computing different
 //! answers.
+//!
+//! A second section times the SafeML monitor on its own, outside any
+//! runtime tick: `push_sample`, the rank-indexed `assessment()` and the
+//! naive `dissimilarity()` + `verdict()` pair, fed each UAV runtime's own
+//! feature stream (same extractor seeds, same reference draw). The two
+//! assessments are compared bit for bit before `safeml_ns_per_push`,
+//! `safeml_ns_per_assessment`, `safeml_ns_per_naive` and `safeml_speedup`
+//! (naive over fast assessment) are reported.
 
 use sesame_bench::alloc::{allocations, CountingAllocator};
 use sesame_bench::cli::{BenchArgs, JsonReport};
@@ -29,11 +37,12 @@ use sesame_conserts::catalog::{
 use sesame_conserts::IncrementalConsertNetwork;
 use sesame_core::{ReferenceEddiRuntime, UavEddiRuntime};
 use sesame_safedrones::monitor::SafeDronesConfig;
+use sesame_safeml::monitor::{SafeMlConfig, SafeMlMonitor, SafeMlVerdict};
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::UavTelemetry;
 use sesame_types::time::{SimDuration, SimTime};
-use sesame_vision::features::SceneCondition;
+use sesame_vision::features::{FeatureExtractor, SceneCondition};
 use std::time::Instant;
 
 #[global_allocator]
@@ -190,6 +199,85 @@ fn run_reference(rounds: u64) -> RunResult {
     }
 }
 
+/// Per-call SafeML monitor timings in nanoseconds: the median round over
+/// the UAV count.
+struct SafeMlTimings {
+    per_push: f64,
+    per_assessment: f64,
+    per_naive: f64,
+}
+
+/// Times the SafeML monitor of each UAV runtime over `rounds` samples
+/// after its window has filled. Every UAV draws its reference set and
+/// frames from a `FeatureExtractor` seeded as `UavEddiRuntime::new` seeds
+/// it, so the monitors see the runtime's own stream. Panics if
+/// `assessment()` and the naive accessors disagree in any bit.
+fn run_safeml(rounds: u64) -> SafeMlTimings {
+    let sc = scene();
+    let warmup = SafeMlConfig::default().window;
+    let rounds = rounds as usize;
+    let mut monitors = Vec::with_capacity(UAVS);
+    let mut frames = Vec::with_capacity(UAVS);
+    for i in 0..UAVS {
+        let mut fx = FeatureExtractor::new(8, 42 ^ ((i as u64 + 1) << 16));
+        let reference = fx.reference_set(200);
+        let mon = SafeMlMonitor::new(reference, SafeMlConfig::default())
+            .expect("generated reference set is well-formed");
+        let stream: Vec<Vec<f64>> = (0..warmup + rounds).map(|_| fx.extract(&sc)).collect();
+        monitors.push(mon);
+        frames.push(stream);
+    }
+    for (mon, stream) in monitors.iter_mut().zip(&frames) {
+        for frame in &stream[..warmup] {
+            mon.push_sample(frame)
+                .expect("extractor and monitor share the width");
+        }
+    }
+    let samples = rounds * UAVS;
+    let mut fast: Vec<(f64, SafeMlVerdict)> = Vec::with_capacity(samples);
+    let mut naive: Vec<(f64, SafeMlVerdict)> = Vec::with_capacity(samples);
+    let mut push_ns = Vec::with_capacity(rounds);
+    let mut assess_ns = Vec::with_capacity(rounds);
+    let mut naive_ns = Vec::with_capacity(rounds);
+    for r in warmup..warmup + rounds {
+        let t0 = Instant::now();
+        for (mon, stream) in monitors.iter_mut().zip(&frames) {
+            mon.push_sample(&stream[r])
+                .expect("extractor and monitor share the width");
+        }
+        let t1 = Instant::now();
+        for mon in &monitors {
+            fast.push(mon.assessment());
+        }
+        let t2 = Instant::now();
+        for mon in &monitors {
+            naive.push((mon.dissimilarity(), mon.verdict()));
+        }
+        let t3 = Instant::now();
+        push_ns.push((t1 - t0).as_nanos());
+        assess_ns.push((t2 - t1).as_nanos());
+        naive_ns.push((t3 - t2).as_nanos());
+    }
+    for (k, (f, n)) in fast.iter().zip(&naive).enumerate() {
+        assert!(
+            f.0.to_bits() == n.0.to_bits() && f.1 == n.1,
+            "SafeML assessment diverged from the naive accessors at sample {k}: \
+             {f:?} vs {n:?} — refusing to report"
+        );
+    }
+    // The median round, per UAV: robust to the rounds a busy host
+    // preempts, which would otherwise skew the fast/naive ratio.
+    let per = |mut ns: Vec<u128>| {
+        ns.sort_unstable();
+        ns[ns.len() / 2] as f64 / UAVS as f64
+    };
+    SafeMlTimings {
+        per_push: per(push_ns),
+        per_assessment: per(assess_ns),
+        per_naive: per(naive_ns),
+    }
+}
+
 fn render(r: &RunResult) -> String {
     let secs = r.elapsed_ns as f64 / 1e9;
     let ticks_per_sec = r.evals as f64 / secs;
@@ -227,6 +315,9 @@ fn main() {
         );
     }
 
+    let safeml = run_safeml(rounds * 10);
+    let safeml_speedup = safeml.per_naive / safeml.per_assessment;
+
     let speedup = reference.elapsed_ns as f64 / fast.elapsed_ns as f64;
     let total = fast.cache_hits + fast.cache_misses;
     let evals_skipped_ratio = fast.cache_hits as f64 / total.max(1) as f64;
@@ -246,12 +337,20 @@ fn main() {
         .num("evals_skipped_ratio", evals_skipped_ratio, 3)
         .int("cache_hits", fast.cache_hits)
         .int("cache_misses", fast.cache_misses)
+        .num("safeml_speedup", safeml_speedup, 2)
+        .num("safeml_ns_per_push", safeml.per_push, 1)
+        .num("safeml_ns_per_assessment", safeml.per_assessment, 1)
+        .num("safeml_ns_per_naive", safeml.per_naive, 1)
         .raw("fast", &render(&fast))
         .raw("reference", &render(&reference))
         .emit(args.json_path.as_deref());
     eprintln!(
         "eddibench: speedup {speedup:.2}x, evals skipped {:.1}%",
         evals_skipped_ratio * 100.0
+    );
+    eprintln!(
+        "eddibench: SafeML push {:.0} ns, assessment {:.0} ns, naive {:.0} ns ({safeml_speedup:.2}x)",
+        safeml.per_push, safeml.per_assessment, safeml.per_naive
     );
     if speedup < 3.0 {
         eprintln!("eddibench: WARNING — speedup below the 3x target");

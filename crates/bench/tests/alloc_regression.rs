@@ -12,6 +12,9 @@
 //! * A whole quiet `Platform::step` stays within a small per-UAV budget:
 //!   what is left is one shared `Arc<Message>` per publish plus rare
 //!   event, trace and alert records.
+//! * One SafeML monitor allocates a fixed handful of buffers over its
+//!   whole life: its flat reference at construction and its flat window
+//!   arrays at the first sample, whatever the feature count.
 //!
 //! Any future `clone()`, `format!` or `Vec::new` sneaking into the
 //! steady-state path turns the counter and fails the build. Counts are
@@ -22,11 +25,12 @@ use sesame_conserts::IncrementalConsertNetwork;
 use sesame_core::orchestrator::{Platform, PlatformConfig};
 use sesame_core::UavEddiRuntime;
 use sesame_safedrones::monitor::SafeDronesConfig;
+use sesame_safeml::monitor::{SafeMlConfig, SafeMlMonitor};
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::UavTelemetry;
 use sesame_types::time::{SimDuration, SimTime};
-use sesame_vision::features::SceneCondition;
+use sesame_vision::features::{FeatureExtractor, SceneCondition};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -101,7 +105,7 @@ fn steady_state_three_uav_tick_allocates_nothing() {
         .map(|r| (0..UAVS).map(|i| telemetry(i, r)).collect())
         .collect();
 
-    // Warmup: solver-profile caches, SafeML presort, scratch buffers and
+    // Warmup: solver-profile caches, SafeML buffers, scratch buffers and
     // ConSert fingerprints all reach steady state.
     for round in tels.iter().take(WARMUP_ROUNDS as usize) {
         for i in 0..UAVS {
@@ -175,5 +179,41 @@ fn quiet_platform_step_stays_within_its_allocation_budget() {
         "whole-platform step allocated {per_uav_tick:.2} times per UAV-tick \
          ({allocs} over {uav_ticks}); budget {PLATFORM_ALLOCS_PER_UAV_TICK} \
          (see DESIGN.md, Hot-loop memory discipline)"
+    );
+}
+
+/// Measured: 1 allocation at construction (the flat column-major
+/// reference) and 5 at the first sample (the ring and the three flat
+/// sorted-window arrays, plus the `j / m` fraction table); none after.
+/// A layout with one buffer per feature would add at least 8 per buffer.
+const SAFEML_MONITOR_ALLOCS: u64 = 6;
+
+#[test]
+fn safeml_monitor_allocates_a_fixed_handful_over_three_turnovers() {
+    let scene = SceneCondition {
+        altitude_m: 30.0,
+        visibility: 1.0,
+    };
+    let mut fx = FeatureExtractor::new(8, 42 ^ (1 << 16));
+    let reference = fx.reference_set(200);
+    let config = SafeMlConfig::default();
+    let frames: Vec<Vec<f64>> = (0..3 * config.window).map(|_| fx.extract(&scene)).collect();
+
+    let before = thread_allocations();
+    let mut mon = SafeMlMonitor::new(reference, config).expect("well-formed reference");
+    let mut checksum = 0u64;
+    for frame in &frames {
+        mon.push_sample(frame)
+            .expect("extractor and monitor share the width");
+        checksum ^= mon.assessment().0.to_bits();
+    }
+    let allocs = thread_allocations() - before;
+
+    assert_ne!(checksum, 0, "the monitor must see real data");
+    assert!(
+        allocs <= SAFEML_MONITOR_ALLOCS,
+        "a SafeML monitor allocated {allocs} times from construction through \
+         three window turnovers; budget {SAFEML_MONITOR_ALLOCS} (see DESIGN.md, \
+         Hot-loop memory discipline)"
     );
 }

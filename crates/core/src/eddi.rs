@@ -9,10 +9,11 @@
 //! the ConSert network consumes.
 //!
 //! This is the **incremental fast path**: the SafeDrones Markov solver
-//! memoizes its rate-matrix profile, the SafeML monitor presorts its
-//! reference columns and fuses dissimilarity + verdict into one pass, and
-//! the SINADRA network memoizes full assessments and answers misses by
-//! replaying query tapes compiled once per process. Every layer is bit-identical to the naive computation —
+//! memoizes its rate-matrix profile, the SafeML monitor keeps its window
+//! ranked against its sorted reference and fuses dissimilarity + verdict
+//! into one pass, and the SINADRA network memoizes full assessments and
+//! answers misses by replaying query tapes compiled once per process.
+//! Every layer is bit-identical to the naive computation —
 //! [`crate::reference::ReferenceEddiRuntime`] keeps that naive path alive
 //! and the conformance suite locksteps the two.
 

@@ -100,7 +100,7 @@ pub struct PlatformConfig {
     /// Motor losses each airframe tolerates through reconfiguration.
     pub tolerated_motor_failures: usize,
     /// Whether the incremental EDDI fast path runs (solver profile cache,
-    /// presorted SafeML, SINADRA factor cache, attack-tree indexing,
+    /// rank-indexed SafeML, SINADRA factor cache, attack-tree indexing,
     /// fingerprint-gated ConSerts). `false` selects the naive reference
     /// runtimes — bit-identical results, recomputed from scratch each
     /// tick. On by default; the conformance suite flips it off.

@@ -130,69 +130,111 @@ pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// A runtime-window value annotated with its rank bounds in a sorted
-/// reference sample of size `n`: the ECDF fractions `#ref < value / n`
-/// and `#ref ≤ value / n`. Computed once, when the value enters the
-/// window, so that [`kolmogorov_smirnov_ranked`] needs no merge walk.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankedValue {
-    pub(crate) value: f64,
-    below: f64,
-    upto: f64,
+/// The ECDF fractions `(#ref < value / n, #ref ≤ value / n)` of `value`
+/// in `reference_sorted` (ascending, finite, `n` values), formed as
+/// `i as f64 / n` exactly as the merge walk forms them. One binary search
+/// finds `#ref < value`; the second runs only when `value` occurs in the
+/// reference, since otherwise the two counts are equal.
+pub(crate) fn rank_fractions(reference_sorted: &[f64], value: f64) -> (f64, f64) {
+    let n = reference_sorted.len() as f64;
+    let below = reference_sorted.partition_point(|r| *r < value);
+    let upto = if reference_sorted.get(below) == Some(&value) {
+        below + reference_sorted[below..].partition_point(|r| *r <= value)
+    } else {
+        below
+    };
+    (below as f64 / n, upto as f64 / n)
 }
 
-impl RankedValue {
-    /// Ranks `value` in `reference_sorted` (ascending, finite). The
-    /// fractions are `i as f64 / n` exactly as the merge walk forms them.
-    pub(crate) fn new(reference_sorted: &[f64], value: f64) -> Self {
-        let n = reference_sorted.len() as f64;
-        let below = reference_sorted.partition_point(|r| *r < value);
-        let upto = below + reference_sorted[below..].partition_point(|r| *r <= value);
-        RankedValue {
-            value,
-            below: below as f64 / n,
-            upto: upto as f64 / n,
-        }
-    }
-}
-
-/// [`kolmogorov_smirnov`] between a reference sample and a window given
-/// as [`RankedValue`]s sorted ascending by `value`, all ranked against
-/// that reference. Runs over the window's distinct values only.
+/// [`kolmogorov_smirnov`] between a reference sample and a window column
+/// of `m` values sorted ascending, given entry by entry as the value and
+/// its [`rank_fractions`] `below` and `upto` in that reference, plus the
+/// table `fractions[j] = j as f64 / m` for `j` in `0..=m`.
 ///
-/// Bit-identical to the merge walk. Each distinct window value `v`
-/// yields the two points `(#ref<v, #win<v)` and `(#ref≤v, #win≤v)`, fed
-/// into the walk's own `i / n − j / m` expression. The second point is
-/// a walk point. The first is the walk point at the largest reference
-/// value below `v` (or the previous window point, or `(0, 0)`). Between
-/// two window values `j` is fixed, and the correctly rounded
-/// `fl(fl(i/n) − fl(j/m))` is monotone in `i`, so every walk point
-/// there is bounded in absolute value by these two candidates; after the
-/// last window value the walk ends at `(n, m)`, where the difference
-/// is 0. Equal values (`-0.0 == 0.0` included) group as the walk groups
-/// them.
+/// Bit-identical to the merge walk. Each group `j..k` of equal window
+/// values `v` (`-0.0 == 0.0` included, grouped as the walk groups them)
+/// yields the two candidates `|below(v) − j/m|` and `|upto(v) − k/m|`:
+/// the walk's own `i / n − j / m` expression at `(#ref<v, #win<v)` and at
+/// `(#ref≤v, #win≤v)`. The second is a walk point; the first is the walk
+/// point at the largest reference value below `v` (or the previous window
+/// point, or `(0, 0)`). Between two window values `j` is fixed, and the
+/// correctly rounded `fl(fl(i/n) − fl(j/m))` is monotone in `i`, so every
+/// walk point there is bounded in absolute value by these candidates;
+/// after the last window value the walk ends at `(n, m)`, where the
+/// difference is 0.
+///
+/// The candidates are read off adjacent pairs, so no step depends on the
+/// previous one: a group starts at entry 0 or where `values[i] !=
+/// values[i − 1]`, and ends at entry `m − 1` or where `values[i] !=
+/// values[i + 1]`. Every pair's two candidates are evaluated and masked
+/// to `+0.0` when its values are equal, and four independent running
+/// maxima take them in. Every candidate is a non-negative finite double,
+/// and on those numeric order is bit order (`to_bits()` ascends with the
+/// value, and equal values have equal bits), so a plain `>` select
+/// returns the walk's `f64::max` fold bit for bit — including candidates
+/// that are equal as rationals but round to different doubles, since
+/// every one of them is evaluated. The select needs none of `f64::max`'s
+/// NaN handling and compiles to one packed `max` per two pairs.
 ///
 /// # Panics
 ///
-/// Panics if `window_sorted` is empty.
-pub(crate) fn kolmogorov_smirnov_ranked(window_sorted: &[RankedValue]) -> f64 {
-    assert!(!window_sorted.is_empty(), "second sample is empty");
-    let m = window_sorted.len() as f64;
-    let mut sup = 0.0f64;
-    let (mut j, mut j_frac) = (0usize, 0.0f64);
-    while j < window_sorted.len() {
-        let v = window_sorted[j];
-        let mut k = j + 1;
-        while k < window_sorted.len() && window_sorted[k].value == v.value {
-            k += 1;
+/// Panics if the column is empty or the slice lengths disagree.
+pub(crate) fn kolmogorov_smirnov_rank_pairs(
+    values: &[f64],
+    below: &[f64],
+    upto: &[f64],
+    fractions: &[f64],
+) -> f64 {
+    let m = values.len();
+    assert!(m > 0, "second sample is empty");
+    assert!(
+        below.len() == m && upto.len() == m && fractions.len() == m + 1,
+        "rank arrays and fraction table must match the window column"
+    );
+    let candidate = |rank: f64, fraction: f64| (rank - fraction).abs();
+    // Exact on non-negative, non-NaN operands; see above.
+    let max = |x: f64, y: f64| if x > y { x } else { y };
+    // Entry `i`'s `upto` and entry `i + 1`'s `below`, both against
+    // `fractions[i + 1]`, when the pair's values differ.
+    let pair = |a: f64, b: f64, up: f64, lo: f64, f: f64| {
+        let both = max(candidate(up, f), candidate(lo, f));
+        if a != b {
+            both
+        } else {
+            0.0
         }
-        let k_frac = k as f64 / m;
-        sup = sup
-            .max((v.below - j_frac).abs())
-            .max((v.upto - k_frac).abs());
-        (j, j_frac) = (k, k_frac);
+    };
+    let k = m - 1;
+    let (left, right) = (&values[..k], &values[1..]);
+    let (upto_left, below_right) = (&upto[..k], &below[1..]);
+    let fractions_right = &fractions[1..m];
+    let ends = max(
+        candidate(below[0], fractions[0]),
+        candidate(upto[k], fractions[m]),
+    );
+    let mut lanes = [ends, 0.0, 0.0, 0.0];
+    let quads = left
+        .chunks_exact(4)
+        .zip(right.chunks_exact(4))
+        .zip(upto_left.chunks_exact(4))
+        .zip(below_right.chunks_exact(4))
+        .zip(fractions_right.chunks_exact(4));
+    for ((((a, b), up), lo), f) in quads {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane = max(*lane, pair(a[l], b[l], up[l], lo[l], f[l]));
+        }
     }
-    sup
+    for i in k - k % 4..k {
+        let last = pair(
+            left[i],
+            right[i],
+            upto_left[i],
+            below_right[i],
+            fractions_right[i],
+        );
+        lanes[0] = max(lanes[0], last);
+    }
+    lanes.into_iter().fold(0.0, max)
 }
 
 /// Kuiper statistic `sup (F−G) + sup (G−F)`.

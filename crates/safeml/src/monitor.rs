@@ -12,7 +12,7 @@
 //! * a **confidence** `= 1 − dissimilarity` in the ML outcome,
 //! * a three-way [`SafeMlVerdict`] against configurable thresholds.
 
-use crate::distance::{kolmogorov_smirnov_ranked, DistanceMeasure, RankedValue};
+use crate::distance::{kolmogorov_smirnov_rank_pairs, rank_fractions, DistanceMeasure};
 
 /// Verdict levels the ConSert layer maps to mitigations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,20 +77,31 @@ impl Default for SafeMlConfig {
 #[derive(Debug, Clone)]
 pub struct SafeMlMonitor {
     config: SafeMlConfig,
-    /// Column-major reference: one Vec per feature.
-    reference: Vec<Vec<f64>>,
+    /// Features per sample.
+    width: usize,
+    /// Column-major reference, `width × n` flat: feature `c` is
+    /// `reference[c * n..(c + 1) * n]`. The first sample sorts each
+    /// column in place, so that construction stays cheap.
+    reference: Vec<f64>,
     /// The sliding window as one flat row-major ring of up to
     /// `window × width` values. Once full, row `head` is the oldest.
     ring: Vec<f64>,
     head: usize,
     samples_seen: u64,
-    /// Pre-sorted copy of `reference`; empty until the first sample
-    /// builds it, so that construction stays cheap.
-    sorted_reference: Vec<Vec<f64>>,
-    /// Per feature, the window column kept sorted by value, each value
-    /// ranked against `sorted_reference` once, when it entered. Holds
-    /// the same values as the ring's column (up to the sign of zeros).
-    columns: Vec<Vec<RankedValue>>,
+    /// The window sorted by value per feature, as three flat
+    /// `width × window` arrays indexed alike: feature `c`'s column is
+    /// `c * window..c * window + window_len`. Empty until the first
+    /// sample. This one holds the same values as the ring's column (up to
+    /// the sign of zeros).
+    sorted_window: Vec<f64>,
+    /// `#ref < v / n` of each `sorted_window` entry `v` in the sorted
+    /// reference ([`rank_fractions`]), found once, when `v` entered.
+    below: Vec<f64>,
+    /// `#ref ≤ v / n` of each `sorted_window` entry `v`, likewise.
+    upto: Vec<f64>,
+    /// `j / window_len` for `j` in `0..=window_len`; rebuilt only while
+    /// the window fills.
+    fractions: Vec<f64>,
 }
 
 /// Errors from monitor construction and feeding.
@@ -168,8 +179,9 @@ impl SafeMlMonitor {
         if width == 0 {
             return Err(SafeMlError::EmptyReference);
         }
-        let mut reference = vec![Vec::with_capacity(reference_rows.len()); width];
-        for row in &reference_rows {
+        let n = reference_rows.len();
+        let mut reference = vec![0.0; width * n];
+        for (r, row) in reference_rows.iter().enumerate() {
             if row.len() != width {
                 return Err(SafeMlError::RaggedReference);
             }
@@ -177,23 +189,26 @@ impl SafeMlMonitor {
                 if !v.is_finite() {
                     return Err(SafeMlError::NonFinite);
                 }
-                reference[c].push(*v);
+                reference[c * n + r] = *v;
             }
         }
         Ok(SafeMlMonitor {
             config,
+            width,
             reference,
             ring: Vec::new(),
             head: 0,
             samples_seen: 0,
-            sorted_reference: Vec::new(),
-            columns: Vec::new(),
+            sorted_window: Vec::new(),
+            below: Vec::new(),
+            upto: Vec::new(),
+            fractions: Vec::new(),
         })
     }
 
     /// Number of features per sample.
     pub fn feature_count(&self) -> usize {
-        self.reference.len()
+        self.width
     }
 
     /// Pushes one runtime sample into the sliding window.
@@ -203,62 +218,60 @@ impl SafeMlMonitor {
     /// Returns [`SafeMlError::FeatureCountMismatch`] or
     /// [`SafeMlError::NonFinite`] on malformed samples.
     pub fn push_sample(&mut self, features: &[f64]) -> Result<(), SafeMlError> {
-        if features.len() != self.reference.len() {
+        if features.len() != self.width {
             return Err(SafeMlError::FeatureCountMismatch {
-                expected: self.reference.len(),
+                expected: self.width,
                 got: features.len(),
             });
         }
         if features.iter().any(|v| !v.is_finite()) {
             return Err(SafeMlError::NonFinite);
         }
-        let width = features.len();
-        if self.sorted_reference.is_empty() {
-            // First sample: presort the reference and size the window
-            // buffers exactly, so no later sample allocates.
-            self.sorted_reference = self
-                .reference
-                .iter()
-                .map(|col| {
-                    let mut v = col.clone();
-                    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-                    v
-                })
-                .collect();
-            self.ring
-                .reserve_exact(self.config.window.saturating_mul(width));
-            self.columns = (0..width)
-                .map(|_| Vec::with_capacity(self.config.window))
-                .collect();
+        let (width, window) = (self.width, self.config.window);
+        let n = self.reference.len() / width;
+        if self.sorted_window.is_empty() {
+            // First sample: sort the reference in place and size the
+            // window buffers exactly, so no later sample allocates.
+            for column in self.reference.chunks_exact_mut(n) {
+                column.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            }
+            let cells = window.saturating_mul(width);
+            self.ring.reserve_exact(cells);
+            self.sorted_window = vec![0.0; cells];
+            self.below = vec![0.0; cells];
+            self.upto = vec![0.0; cells];
+            self.fractions = Vec::with_capacity(window + 1);
         }
-        let full = self.window_len() == self.config.window;
+        let len = self.window_len();
+        let full = len == window;
         let oldest = self.head * width;
         for (c, &v) in features.iter().enumerate() {
-            let entry = RankedValue::new(&self.sorted_reference[c], v);
-            let col = &mut self.columns[c];
-            let p = col.partition_point(|e| e.value < v);
-            if full {
-                // Replace the evicted value in place: one memmove of the
-                // entries between its slot and the new value's.
+            let (below, upto) = rank_fractions(&self.reference[c * n..(c + 1) * n], v);
+            // While the window fills, the column's next slot is vacant and
+            // plays the evicted entry.
+            let column = c * window..c * window + len + usize::from(!full);
+            let values = &mut self.sorted_window[column.clone()];
+            let to = values[..len].partition_point(|x| *x < v);
+            let from = if full {
                 let evicted = self.ring[oldest + c];
-                let r = col.partition_point(|e| e.value < evicted);
-                debug_assert!(col[r].value == evicted, "window column tracks the ring");
-                if p <= r {
-                    col[p..=r].rotate_right(1);
-                    col[p] = entry;
-                } else {
-                    col[r..p].rotate_left(1);
-                    col[p - 1] = entry;
-                }
+                let r = values.partition_point(|x| *x < evicted);
+                debug_assert!(values[r] == evicted, "window column tracks the ring");
+                r
             } else {
-                col.insert(p, entry);
-            }
+                len
+            };
+            replace_sorted(values, from, to, v);
+            replace_sorted(&mut self.below[column.clone()], from, to, below);
+            replace_sorted(&mut self.upto[column], from, to, upto);
         }
         if full {
             self.ring[oldest..oldest + width].copy_from_slice(features);
-            self.head = (self.head + 1) % self.config.window;
+            self.head = (self.head + 1) % window;
         } else {
             self.ring.extend_from_slice(features);
+            let m = len + 1;
+            self.fractions.clear();
+            self.fractions.extend((0..=m).map(|j| j as f64 / m as f64));
         }
         self.samples_seen += 1;
         Ok(())
@@ -266,7 +279,7 @@ impl SafeMlMonitor {
 
     /// The window's rows, oldest first.
     fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        let width = self.reference.len();
+        let width = self.width;
         let (newer, older) = self.ring.split_at(self.head * width);
         older.chunks_exact(width).chain(newer.chunks_exact(width))
     }
@@ -284,13 +297,16 @@ impl SafeMlMonitor {
         if self.ring.is_empty() {
             return 0.0;
         }
+        // Every measure sorts its inputs first, so the sorted reference
+        // columns give the same bits as the original ones.
+        let n = self.reference.len() / self.width;
         let mut acc = 0.0;
-        for (c, ref_col) in self.reference.iter().enumerate() {
+        for (c, ref_col) in self.reference.chunks_exact(n).enumerate() {
             let col: Vec<f64> = self.rows().map(|row| row[c]).collect();
             let d = self.config.measure.compute(ref_col, &col);
             acc += self.squash(d);
         }
-        acc / self.reference.len() as f64
+        acc / self.width as f64
     }
 
     fn squash(&self, d: f64) -> f64 {
@@ -324,11 +340,19 @@ impl SafeMlMonitor {
         if self.config.measure != DistanceMeasure::KolmogorovSmirnov {
             return self.dissimilarity();
         }
+        let (window, len) = (self.config.window, self.window_len());
         let mut acc = 0.0;
-        for col in &self.columns {
-            acc += kolmogorov_smirnov_ranked(col); // squash() is the identity for KS
+        for c in 0..self.width {
+            let column = c * window..c * window + len;
+            // squash() is the identity for KS.
+            acc += kolmogorov_smirnov_rank_pairs(
+                &self.sorted_window[column.clone()],
+                &self.below[column.clone()],
+                &self.upto[column],
+                &self.fractions,
+            );
         }
-        acc / self.reference.len() as f64
+        acc / self.width as f64
     }
 
     /// Confidence in the ML component's outcome: `1 − dissimilarity`.
@@ -358,7 +382,20 @@ impl SafeMlMonitor {
 
     /// Current window occupancy.
     pub fn window_len(&self) -> usize {
-        self.ring.len() / self.reference.len()
+        self.ring.len() / self.width
+    }
+}
+
+/// Removes the entry at `from` of a sorted `column` and inserts `x` at
+/// the sorted position `to`, counted before the removal: one memmove of
+/// the entries between the two slots.
+fn replace_sorted(column: &mut [f64], from: usize, to: usize, x: f64) {
+    if to <= from {
+        column.copy_within(to..from, to + 1);
+        column[to] = x;
+    } else {
+        column.copy_within(from + 1..to, from);
+        column[to - 1] = x;
     }
 }
 
@@ -541,6 +578,35 @@ mod tests {
             let fast = mon.assessment();
             assert_eq!(naive.0.to_bits(), fast.0.to_bits(), "tick {i}");
             assert_eq!(naive.1, fast.1, "tick {i}");
+        }
+    }
+
+    #[test]
+    fn ks_ties_that_round_differently_keep_the_walk_bits() {
+        // Against the reference 1..=10 both windows reach two walk points
+        // equal to 1/5 as rationals that round to different doubles: the
+        // first at (#ref, #win) = (3, 1) and (5, 3), the second at (4, 2)
+        // and (6, 4) (and at (10, 8)). The walk keeps the larger, 0.2.
+        assert_eq!(0.3f64 - 0.1, 0.19999999999999998);
+        assert_eq!(0.5f64 - 0.3, 0.2);
+        assert_eq!(0.4f64 - 0.2, 0.2);
+        assert_eq!(0.6f64 - 0.4, 0.19999999999999996);
+        let reference: Vec<Vec<f64>> = (1..=10).map(|i| vec![f64::from(i)]).collect();
+        for window in [
+            [0.5, 3.3, 3.6, 5.5, 5.6, 6.5, 7.5, 8.5, 9.5, 10.5],
+            [0.5, 2.5, 4.3, 4.6, 6.3, 6.6, 7.5, 8.5, 10.5, 10.6],
+        ] {
+            let config = SafeMlConfig {
+                window: window.len(),
+                ..SafeMlConfig::default()
+            };
+            let mut mon = SafeMlMonitor::new(reference.clone(), config).unwrap();
+            // Newest-first, so the sorted columns are built by insertion.
+            for v in window.iter().rev() {
+                mon.push_sample(&[*v]).unwrap();
+            }
+            assert_eq!(mon.dissimilarity().to_bits(), 0.2f64.to_bits());
+            assert_eq!(mon.assessment().0.to_bits(), 0.2f64.to_bits());
         }
     }
 

@@ -106,6 +106,10 @@ gate BENCH_bus.json   speedup           0.8 busbench
 gate BENCH_bus.json   msgs_per_sec      0.5 busbench
 gate BENCH_eddi.json  speedup           0.8 eddibench
 gate BENCH_eddi.json  ticks_per_sec     0.5 eddibench
+# The SafeML monitor on its own: the rank-indexed KS assessment() against
+# the naive dissimilarity() + verdict() pair on the same samples, timed
+# in the same rounds (median round), so both sides see the same noise.
+gate BENCH_eddi.json  safeml_speedup    0.8 eddibench-safeml
 # fleetbench's headline is the largest fleet's per-UAV throughput; the
 # sharded/serial speedup hovers near 1.0 on small machines (Auto stays
 # serial below the core budget), so only the absolute floor is gated.
