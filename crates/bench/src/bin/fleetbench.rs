@@ -15,13 +15,19 @@
 //! exactly that; `--json PATH` writes a copy. Per fleet size the report
 //! carries whole-platform ticks per second, the per-UAV normalization
 //! (`uav_ticks_per_sec` — flat means linear scaling of the per-UAV
-//! phases; the nearest-teammate scan still visits every pair, but a
-//! chord bound skips the haversine for almost all of them, so it bends
-//! the curve far less at the top end), the shard
+//! phases; the nearest-teammate scan is a sort-and-sweep, O(n log n)
+//! per tick), the shard
 //! count actually used, the sharded-over-serial speedup, and the heap
 //! allocations per tick inside the timed span (counting allocator). The
 //! summary keys are the largest fleet's numbers and come first, which is
 //! what `scripts/bench_gate.sh` gates on.
+//!
+//! A second section times the nearest-teammate scan on its own, outside
+//! `Platform::step`, on the telemetry snapshots of a 200-UAV run: the
+//! sorted airspace index plus one sweep per UAV flying its mission,
+//! against the brute-force haversine over every pair. The two are
+//! compared bit for bit before `airspace_ns_per_uav` and
+//! `airspace_speedup` (brute force over sweep) are reported.
 //!
 //! `--jobs N` forces `ShardPolicy::Fixed { shards: N }`; the size
 //! sweep's default is one shard per 32 UAVs (see [`sweep_policy`] for
@@ -44,9 +50,12 @@
 
 use sesame_bench::alloc::{allocations, CountingAllocator};
 use sesame_bench::cli::{BenchArgs, JsonReport};
+use sesame_core::airspace::{chord_teammates, nearest_teammate, Teammates};
 use sesame_core::containment::ComputeFaultKind;
 use sesame_core::fleet::{FleetSpec, ShardPolicy};
 use sesame_core::orchestrator::{Platform, PlatformConfig};
+use sesame_core::HealthState;
+use sesame_types::telemetry::{FlightMode, UavTelemetry};
 use sesame_types::time::{SimDuration, SimTime};
 use std::time::Instant;
 
@@ -147,6 +156,117 @@ fn run_platform(cfg: PlatformConfig, ticks: u64, faults: &[Fault]) -> RunResult 
 
 fn ticks_per_sec(r: &RunResult) -> f64 {
     r.ticks as f64 / (r.elapsed_ns as f64 / 1e9)
+}
+
+/// Fleet size of the airspace section.
+const AIRSPACE_UAVS: usize = 200;
+
+/// Per-UAV airspace scan timings in nanoseconds: the median snapshot
+/// over the fleet size.
+struct AirspaceTimings {
+    sweep: f64,
+    brute: f64,
+}
+
+/// One tick's airspace scan results, `None` for a UAV not flying its
+/// mission.
+type Proximities = Vec<Option<Option<(f64, bool)>>>;
+
+/// The nearest-teammate scan as a brute-force haversine over every pair:
+/// each airborne, unquarantined teammate's `distance_3d_m`, keeping the
+/// first strictly nearer one.
+fn brute_nearest(i: usize, tels: &[UavTelemetry], quarantined: &[bool]) -> Option<(f64, bool)> {
+    let tel = &tels[i];
+    let mut nearest = f64::INFINITY;
+    let mut converging = false;
+    for j in 0..tels.len() {
+        if j == i || quarantined[j] || !tels[j].mode.is_airborne() {
+            continue;
+        }
+        let d = tel.true_position.distance_3d_m(&tels[j].true_position);
+        if d < nearest {
+            nearest = d;
+            let rel = tels[j].true_position.to_enu(&tel.true_position);
+            let rel_v = tel.velocity - tels[j].velocity;
+            converging = rel_v.dot(&rel.into()) > 0.0;
+        }
+    }
+    nearest.is_finite().then_some((nearest, converging))
+}
+
+/// Times the airspace scan on `ticks` telemetry snapshots of a serial
+/// `uavs`-UAV run (one per tick after the usual warmup), `rounds` times
+/// each: [`chord_teammates`] plus [`nearest_teammate`] for every
+/// unquarantined UAV in `FlightMode::Mission`, as the airspace pass
+/// runs them, against [`brute_nearest`] for the same UAVs. Panics if the
+/// two disagree in any bit.
+fn run_airspace(uavs: usize, ticks: u64, rounds: usize) -> AirspaceTimings {
+    let mut p = Platform::new(config(uavs, ShardPolicy::Serial));
+    p.launch();
+    for _ in 0..10 {
+        p.step();
+    }
+    let snapshots: Vec<(Vec<UavTelemetry>, Vec<bool>)> = (0..ticks)
+        .map(|_| {
+            p.step();
+            let tels = (0..uavs)
+                .map(|i| {
+                    let handle = p.handle(i);
+                    p.sim_mut().telemetry(handle)
+                })
+                .collect();
+            let quarantined = (0..uavs)
+                .map(|i| p.health(i) == HealthState::Quarantined)
+                .collect();
+            (tels, quarantined)
+        })
+        .collect();
+    let subject = |tels: &[UavTelemetry], quarantined: &[bool], i: usize| {
+        tels[i].mode == FlightMode::Mission && !quarantined[i]
+    };
+    let mut teammates = Teammates::default();
+    let mut sweep_ns = Vec::with_capacity(snapshots.len() * rounds);
+    let mut brute_ns = Vec::with_capacity(snapshots.len() * rounds);
+    let mut sweep_out: Proximities = Vec::with_capacity(uavs);
+    let mut brute_out: Proximities = Vec::with_capacity(uavs);
+    for round in 0..rounds {
+        for (k, (tels, quarantined)) in snapshots.iter().enumerate() {
+            sweep_out.clear();
+            brute_out.clear();
+            let t0 = Instant::now();
+            chord_teammates(tels, |j| quarantined[j], &mut teammates);
+            sweep_out.extend((0..uavs).map(|i| {
+                subject(tels, quarantined, i).then(|| nearest_teammate(i, tels, &teammates))
+            }));
+            let t1 = Instant::now();
+            brute_out.extend((0..uavs).map(|i| {
+                subject(tels, quarantined, i).then(|| brute_nearest(i, tels, quarantined))
+            }));
+            let t2 = Instant::now();
+            sweep_ns.push((t1 - t0).as_nanos());
+            brute_ns.push((t2 - t1).as_nanos());
+            let bits = |out: &Proximities| -> Vec<Option<Option<(u64, bool)>>> {
+                out.iter()
+                    .map(|r| r.map(|r| r.map(|(d, c)| (d.to_bits(), c))))
+                    .collect()
+            };
+            assert_eq!(
+                bits(&sweep_out),
+                bits(&brute_out),
+                "airspace sweep diverged from the brute-force haversine on \
+                 snapshot {k}, round {round} — refusing to report"
+            );
+        }
+    }
+    // The median snapshot, per UAV: robust to preempted snapshots.
+    let per = |mut ns: Vec<u128>| {
+        ns.sort_unstable();
+        ns[ns.len() / 2] as f64 / uavs as f64
+    };
+    AirspaceTimings {
+        sweep: per(sweep_ns),
+        brute: per(brute_ns),
+    }
 }
 
 /// The `--inject-panics` workload: clean vs compute-faulted runs, each
@@ -348,6 +468,8 @@ fn main() {
         last = Some((n, per_uav, speedup, sharded));
     }
     let (largest, per_uav, speedup, sharded) = last.expect("at least one size");
+    let airspace = run_airspace(AIRSPACE_UAVS, ticks, 5);
+    let airspace_speedup = airspace.brute / airspace.sweep;
 
     // Summary keys (the largest fleet's numbers) precede the curve, so
     // first-occurrence key extraction reads the headline values.
@@ -362,10 +484,17 @@ fn main() {
             0,
         )
         .int("ticks", ticks)
+        .num("airspace_speedup", airspace_speedup, 2)
+        .num("airspace_ns_per_uav", airspace.sweep, 1)
         .raw("sizes", &format!("[\n    {}\n  ]", rows.join(",\n    ")))
         .emit(args.json_path.as_deref());
     eprintln!(
         "fleetbench: {largest} UAVs at {per_uav:.0} UAV-ticks/s, \
          sharded speedup {speedup:.2}x over serial"
+    );
+    eprintln!(
+        "fleetbench: airspace scan {:.0} ns/UAV vs brute force {:.0} ns/UAV \
+         ({airspace_speedup:.2}x) at {AIRSPACE_UAVS} UAVs",
+        airspace.sweep, airspace.brute
     );
 }

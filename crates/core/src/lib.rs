@@ -19,7 +19,7 @@
 //! * [`orchestrator`] — the closed loop: simulate → sense → publish →
 //!   monitor → certify → decide → actuate;
 //! * [`airspace`] — the separation geometry of the airspace pass: the
-//!   chord-bounded nearest-teammate scan and the tabulated
+//!   sort-and-sweep nearest-teammate scan and the tabulated
 //!   separation-risk network;
 //! * [`fleet`] — fleet composition ([`fleet::FleetSpec`]: per-profile
 //!   UAV groups) and the shard policy that partitions the tick;

@@ -14,7 +14,7 @@
 //! "abort on first symptom" policy of §V-A and attacks are not handled at
 //! all.
 
-use crate::airspace::{chord_teammates, nearest_teammate, SeparationTable};
+use crate::airspace::{chord_teammates, nearest_teammate, SeparationTable, Teammates};
 use crate::containment::{ComputeFaultPlane, FaultPhase, UavFault};
 use crate::eddi::{EddiCacheStats, EddiOutputs, UavEddiRuntime};
 use crate::fleet::{shard_ranges, FleetSpec, ResolvedUavProfile};
@@ -51,7 +51,7 @@ use sesame_security::eddi::SecurityEddi;
 use sesame_security::ids::{Ids, IdsConfig};
 use sesame_sinadra::risk::SeparationRiskModel;
 use sesame_types::events::{EventLog, Severity, SystemEvent};
-use sesame_types::geo::{ChordPoint, GeoPoint};
+use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
 use sesame_types::telemetry::{FlightMode, UavTelemetry};
 use sesame_types::time::{SimDuration, SimTime};
@@ -566,9 +566,8 @@ struct TickScratch {
     det_events: Vec<SystemEvent>,
     /// Per-UAV results of the shard fan-outs (see [`UavSlot`]).
     slots: Vec<UavSlot>,
-    /// Airspace pass: each UAV's unit-sphere point and altitude, `None`
-    /// when it is not a teammate this tick (grounded or quarantined).
-    teammates: Vec<Option<ChordPoint>>,
+    /// Airspace pass: this tick's sorted teammate index.
+    teammates: Teammates,
     /// ConSert pass: this tick's per-UAV actions.
     actions: Vec<UavAction>,
     /// Bus pass: this tick's IDS-tap batch, then each UAV's command

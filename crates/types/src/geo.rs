@@ -206,7 +206,42 @@ impl ChordPoint {
         let bound = (chord * chord + dalt * dalt).sqrt();
         bound - (CHORD_MARGIN_REL * bound + CHORD_MARGIN_M)
     }
+
+    /// Whether every coordinate is finite: true exactly when the
+    /// [`GeoPoint`] it was built from has a finite latitude, longitude
+    /// and altitude.
+    pub fn is_finite(&self) -> bool {
+        self.unit.iter().all(|u| u.is_finite()) && self.alt_m.is_finite()
+    }
+
+    /// Component `axis` (0, 1 or 2) of the unit vector: the airspace
+    /// sweep's sort key along that axis.
+    pub fn sweep_key(&self, axis: usize) -> f64 {
+        self.unit[axis]
+    }
+
+    /// A lower bound on [`ChordPoint::distance_lower_bound_m`] from one
+    /// component alone: `dk` is `a.sweep_key(axis) - b.sweep_key(axis)`
+    /// for the same axis, and the result `R·|dk|` minus
+    /// `SWEEP_MARGIN_REL` of itself and `SWEEP_MARGIN_M`.
+    ///
+    /// A chord is never shorter than one of its components, and the
+    /// margin (twice the chord margin in both parts) covers the rounding
+    /// of the chord's sum, square roots and own margin. The expression
+    /// is a chain of roundings of monotone operations in `|dk|`, so a
+    /// sweep that walks outward in key order may stop at the first key
+    /// whose bound exceeds its nearest range so far.
+    pub fn sweep_gap_bound_m(dk: f64) -> f64 {
+        EARTH_RADIUS_M * dk.abs() * (1.0 - SWEEP_MARGIN_REL) - SWEEP_MARGIN_M
+    }
 }
+
+/// Relative part of the margin [`ChordPoint::sweep_gap_bound_m`]
+/// subtracts: twice [`CHORD_MARGIN_REL`].
+const SWEEP_MARGIN_REL: f64 = 2.0 * CHORD_MARGIN_REL;
+
+/// Absolute part of the same margin: twice [`CHORD_MARGIN_M`].
+const SWEEP_MARGIN_M: f64 = 2.0 * CHORD_MARGIN_M;
 
 fn normalize_lon(lon: f64) -> f64 {
     let mut l = lon;

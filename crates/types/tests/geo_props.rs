@@ -38,6 +38,40 @@ fn chord_bound_holds(a: &GeoPoint, b: &GeoPoint) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The sweep's gap bound along each of the three axes is at most the
+/// chord bound of `a` and `b` (vacuous when the chord bound is NaN).
+fn sweep_bound_holds(a: &GeoPoint, b: &GeoPoint) -> Result<(), TestCaseError> {
+    let (pa, pb) = (ChordPoint::new(a), ChordPoint::new(b));
+    let chord = pa.distance_lower_bound_m(&pb);
+    for axis in 0..3 {
+        let gap = ChordPoint::sweep_gap_bound_m(pa.sweep_key(axis) - pb.sweep_key(axis));
+        prop_assert!(
+            gap <= chord || chord.is_nan(),
+            "axis {axis}: gap bound {gap} > chord bound {chord} for {a} / {b}"
+        );
+    }
+    Ok(())
+}
+
+/// Offset steps of the sweep-bound properties, degrees: ~11 km down to
+/// ~0.1 µm, the airspace oracle's lattice steps.
+fn sweep_step() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.1), Just(1e-4), Just(1e-7), Just(1e-10), Just(1e-12)]
+}
+
+/// Altitude gaps of the sweep-bound properties, metres: none, sub-µm,
+/// metres, and up to orbital.
+fn sweep_dalt() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(1e-7),
+        -10.0..10.0f64,
+        -1e4..1e4f64,
+        Just(4e5),
+        Just(-1e7),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -99,6 +133,36 @@ proptest! {
         let b = GeoPoint::new((a.lat_deg + dlat).clamp(-90.0, 90.0), a.lon_deg + dlon, a.alt_m + dalt);
         chord_bound_holds(&a, &b)?;
         chord_bound_holds(&a, &a)?;
+    }
+
+    /// The sweep's gap bound never exceeds the chord bound, for pairs
+    /// anywhere on earth (poles, antimeridian and near-antipodes
+    /// included) and with large altitude gaps.
+    #[test]
+    fn sweep_bound_worldwide(a in worldwide(), b in worldwide(), dalt in sweep_dalt()) {
+        sweep_bound_holds(&a, &b)?;
+        sweep_bound_holds(&a, &b.with_alt(a.alt_m + dalt))?;
+        let anti = GeoPoint::new(-a.lat_deg, a.lon_deg - 180.0, a.alt_m + dalt);
+        sweep_bound_holds(&a, &anti)?;
+    }
+
+    /// The sweep's gap bound never exceeds the chord bound for lattice
+    /// neighbours down to sub-µm steps, one coordinate at a time or
+    /// together, where the key gap is the whole chord.
+    #[test]
+    fn sweep_bound_lattice_steps(
+        a in worldwide(),
+        step in sweep_step(),
+        k in -3i32..4,
+        which in 0usize..3,
+        dalt in sweep_dalt(),
+    ) {
+        let d = f64::from(k) * step;
+        let (dlat, dlon) = [(d, 0.0), (0.0, d), (d, -d)][which];
+        let b = GeoPoint::new((a.lat_deg + dlat).clamp(-90.0, 90.0), a.lon_deg + dlon, a.alt_m);
+        sweep_bound_holds(&a, &b)?;
+        sweep_bound_holds(&a, &b.with_alt(a.alt_m + dalt))?;
+        sweep_bound_holds(&a, &a.with_alt(a.alt_m + dalt))?;
     }
 
     /// ENU offsets add linearly: applying (u then v) equals applying u+v.

@@ -114,6 +114,10 @@ gate BENCH_eddi.json  safeml_speedup    0.8 eddibench-safeml
 # sharded/serial speedup hovers near 1.0 on small machines (Auto stays
 # serial below the core budget), so only the absolute floor is gated.
 gate BENCH_fleet.json uav_ticks_per_sec 0.5 fleetbench
+# The nearest-teammate scan on its own: the sort-and-sweep against the
+# brute-force haversine over every pair, on the same 200-UAV telemetry
+# snapshots (median snapshot), so both sides see the same noise.
+gate BENCH_fleet.json airspace_speedup  0.8 fleetbench-airspace
 # Allocation ceilings: allocations per tick are deterministic for a fixed
 # workload, so more than 10% over baseline means a new per-UAV
 # allocation on the quiet path (DESIGN.md, "Hot-loop memory discipline").

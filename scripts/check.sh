@@ -73,7 +73,7 @@ cargo run -q --release -p sesame-bench --bin scenario -- smoke scenarios/*.sesam
 echo "==> scenario DSL fuzz: parser/compiler never panic, spans stay in range, print is a parse fixed point (2048 cases/property)"
 SESAME_FUZZ_CASES=2048 cargo test -q -p sesame-scenario-dsl --test fuzz
 
-echo "==> airspace oracle: the chord-pruned nearest-teammate scan must match the brute-force haversine scan bit for bit (2048 cases)"
+echo "==> airspace oracle: the sort-and-sweep nearest-teammate scan must match the brute-force haversine scan bit for bit (2048 cases)"
 SESAME_FUZZ_CASES=2048 cargo test -q --release -p sesame-core --test airspace_oracle
 
 echo "==> risk-tape lockstep: the compiled SINADRA query tapes must match variable elimination bit for bit (2048 cases)"
