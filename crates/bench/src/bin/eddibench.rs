@@ -28,6 +28,15 @@
 //! assessments are compared bit for bit before `safeml_ns_per_push`,
 //! `safeml_ns_per_assessment`, `safeml_ns_per_naive` and `safeml_speedup`
 //! (naive over fast assessment) are reported.
+//!
+//! A third section times construction, the design-time half of each
+//! runtime (reference draw, detector-head training, TK analysis).
+//! First, a 200-UAV fleet of fast runtimes is built on the shard pool
+//! exactly as `Platform::new` builds it, and every runtime is ticked in
+//! lockstep against a `ReferenceEddiRuntime` of its seed; any bit of
+//! divergence aborts the run. Then `construct_us_per_uav` (median
+//! `UavEddiRuntime::new`, serial) and `fleet_build_ms` (median 200-UAV
+//! build on the pool) are reported.
 
 use sesame_bench::alloc::{allocations, CountingAllocator};
 use sesame_bench::cli::{BenchArgs, JsonReport};
@@ -35,7 +44,7 @@ use sesame_conserts::catalog::{
     certified_navigation_accuracy_m, evaluate_uav, uav_consert_network, UavAction,
 };
 use sesame_conserts::IncrementalConsertNetwork;
-use sesame_core::{ReferenceEddiRuntime, UavEddiRuntime};
+use sesame_core::{shard, ReferenceEddiRuntime, UavEddiRuntime};
 use sesame_safedrones::monitor::SafeDronesConfig;
 use sesame_safeml::monitor::{SafeMlConfig, SafeMlMonitor, SafeMlVerdict};
 use sesame_types::geo::GeoPoint;
@@ -49,6 +58,15 @@ use std::time::Instant;
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const UAVS: usize = 3;
+
+/// The construction section's fleet size (`fleet_200uav`'s).
+const FLEET: usize = 200;
+
+/// The EDDI seed of UAV `i`, derived as `Platform::eddi_engine` derives
+/// it from a platform seed (42 here).
+fn uav_seed(i: usize) -> u64 {
+    42 ^ ((i as u64 + 1) << 16)
+}
 
 fn home() -> GeoPoint {
     GeoPoint::new(35.05, 33.20, 0.0)
@@ -94,11 +112,7 @@ struct RunResult {
 fn run_fast(rounds: u64) -> RunResult {
     let mut eddis: Vec<UavEddiRuntime> = (0..UAVS)
         .map(|i| {
-            let mut rt = UavEddiRuntime::new(
-                42 ^ ((i as u64 + 1) << 16),
-                SafeDronesConfig::default(),
-                home(),
-            );
+            let mut rt = UavEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home());
             rt.set_remaining_mission(SimDuration::from_secs(600));
             rt
         })
@@ -152,11 +166,8 @@ fn run_fast(rounds: u64) -> RunResult {
 fn run_reference(rounds: u64) -> RunResult {
     let mut eddis: Vec<ReferenceEddiRuntime> = (0..UAVS)
         .map(|i| {
-            let mut rt = ReferenceEddiRuntime::new(
-                42 ^ ((i as u64 + 1) << 16),
-                SafeDronesConfig::default(),
-                home(),
-            );
+            let mut rt =
+                ReferenceEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home());
             rt.set_remaining_mission(SimDuration::from_secs(600));
             rt
         })
@@ -219,7 +230,7 @@ fn run_safeml(rounds: u64) -> SafeMlTimings {
     let mut monitors = Vec::with_capacity(UAVS);
     let mut frames = Vec::with_capacity(UAVS);
     for i in 0..UAVS {
-        let mut fx = FeatureExtractor::new(8, 42 ^ ((i as u64 + 1) << 16));
+        let mut fx = FeatureExtractor::new(8, uav_seed(i));
         let reference = fx.reference_set(200);
         let mon = SafeMlMonitor::new(reference, SafeMlConfig::default())
             .expect("generated reference set is well-formed");
@@ -278,6 +289,80 @@ fn run_safeml(rounds: u64) -> SafeMlTimings {
     }
 }
 
+/// Construction timings: the median serial `UavEddiRuntime::new` in
+/// microseconds, and the median `FLEET`-UAV build on the shard pool in
+/// milliseconds.
+struct ConstructTimings {
+    us_per_uav: f64,
+    fleet_build_ms: f64,
+}
+
+/// Builds `FLEET` fast runtimes as `Platform::new` does: fanned out over
+/// the shard pool at the machine's parallelism, placed by index.
+fn build_fleet() -> Vec<UavEddiRuntime> {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    shard::run_indexed(cores, FLEET, |i| {
+        UavEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home())
+    })
+}
+
+/// Checks a pool-built fleet against the reference runtime over
+/// `check_ticks` ticks per UAV, then times `samples` serial builds and
+/// `builds` fleet builds. Panics on the first divergent bit.
+fn run_construct(check_ticks: u64, samples: usize, builds: usize) -> ConstructTimings {
+    let sc = scene();
+    for (i, mut fast) in build_fleet().into_iter().enumerate() {
+        let mut naive = ReferenceEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home());
+        for r in 0..check_ticks {
+            let tel = telemetry(i % UAVS, r);
+            let (f, n) = (fast.tick(&tel, &sc), naive.tick(&tel, &sc));
+            let bits = |o: &sesame_core::EddiOutputs| {
+                [
+                    o.reliability.pof,
+                    o.safeml_uncertainty,
+                    o.dk_uncertainty,
+                    o.combined_uncertainty,
+                    o.risk.missed_person_prob,
+                    o.risk.criticality_high_prob,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(
+                bits(&f),
+                bits(&n),
+                "UAV {i} built on the pool diverged from the reference runtime at tick {r} \
+                 — refusing to report"
+            );
+        }
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let per_uav = (0..samples)
+        .map(|k| {
+            let t = Instant::now();
+            let rt = UavEddiRuntime::new(uav_seed(k), SafeDronesConfig::default(), home());
+            let us = t.elapsed().as_secs_f64() * 1e6;
+            drop(rt);
+            us
+        })
+        .collect();
+    let fleet = (0..builds)
+        .map(|_| {
+            let t = Instant::now();
+            let fleet = build_fleet();
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            drop(fleet);
+            ms
+        })
+        .collect();
+    ConstructTimings {
+        us_per_uav: median(per_uav),
+        fleet_build_ms: median(fleet),
+    }
+}
+
 fn render(r: &RunResult) -> String {
     let secs = r.elapsed_ns as f64 / 1e9;
     let ticks_per_sec = r.evals as f64 / secs;
@@ -318,6 +403,12 @@ fn main() {
     let safeml = run_safeml(rounds * 10);
     let safeml_speedup = safeml.per_naive / safeml.per_assessment;
 
+    let construct = if args.smoke {
+        run_construct(5, 50, 5)
+    } else {
+        run_construct(20, 200, 10)
+    };
+
     let speedup = reference.elapsed_ns as f64 / fast.elapsed_ns as f64;
     let total = fast.cache_hits + fast.cache_misses;
     let evals_skipped_ratio = fast.cache_hits as f64 / total.max(1) as f64;
@@ -341,6 +432,8 @@ fn main() {
         .num("safeml_ns_per_push", safeml.per_push, 1)
         .num("safeml_ns_per_assessment", safeml.per_assessment, 1)
         .num("safeml_ns_per_naive", safeml.per_naive, 1)
+        .num("construct_us_per_uav", construct.us_per_uav, 1)
+        .num("fleet_build_ms", construct.fleet_build_ms, 2)
         .raw("fast", &render(&fast))
         .raw("reference", &render(&reference))
         .emit(args.json_path.as_deref());
@@ -351,6 +444,10 @@ fn main() {
     eprintln!(
         "eddibench: SafeML push {:.0} ns, assessment {:.0} ns, naive {:.0} ns ({safeml_speedup:.2}x)",
         safeml.per_push, safeml.per_assessment, safeml.per_naive
+    );
+    eprintln!(
+        "eddibench: construction {:.0} us per UAV, {FLEET}-UAV build on the pool {:.1} ms",
+        construct.us_per_uav, construct.fleet_build_ms
     );
     if speedup < 3.0 {
         eprintln!("eddibench: WARNING — speedup below the 3x target");

@@ -64,27 +64,30 @@ pub struct EddiOutputs {
     pub spoof: SpoofVerdict,
 }
 
-/// The per-UAV runtime. See the crate docs for the integration loop.
+/// The design-time EDDI artefacts of one UAV (§III-A), which must exist
+/// before its first tick: the SafeML reference set and monitor, a
+/// trained detector head, and DeepKnowledge's TK-neuron analysis of it.
+/// Both [`UavEddiRuntime::new`] and
+/// [`ReferenceEddiRuntime::new`](crate::reference::ReferenceEddiRuntime::new)
+/// build theirs here, so runtimes built from one seed consume the seeded
+/// RNGs in the same order and hold bit-identical models.
 #[derive(Debug)]
-pub struct UavEddiRuntime {
-    safedrones: SafeDronesMonitor,
-    safeml: SafeMlMonitor,
-    dk_model: Mlp,
-    dk: UncertaintyMonitor,
-    sinadra: CachedSarRiskModel,
-    spoof: SpoofDetector,
-    features: FeatureExtractor,
-    /// Reused frame buffer for [`FeatureExtractor::extract_into`], so
-    /// steady-state ticks draw the camera frame without heap traffic.
-    frame: Vec<f64>,
-    last_time: Option<SimTime>,
-    last_outputs: Option<EddiOutputs>,
+pub(crate) struct DesignTime {
+    /// The camera feature extractor, its RNG past the reference draw.
+    pub(crate) features: FeatureExtractor,
+    /// The SafeML monitor over the reference set.
+    pub(crate) safeml: SafeMlMonitor,
+    /// The trained detector head.
+    pub(crate) dk_model: Mlp,
+    /// The DeepKnowledge runtime monitor of the head's TK neurons.
+    pub(crate) dk: UncertaintyMonitor,
 }
 
-impl UavEddiRuntime {
-    /// Builds the runtime: draws the SafeML reference set and runs the
-    /// DeepKnowledge design-time analysis on a freshly trained network.
-    pub fn new(seed: u64, safedrones: SafeDronesConfig, home: GeoPoint) -> Self {
+impl DesignTime {
+    /// Draws the 200-row reference set from `seed`'s extractor, trains an
+    /// 8-12-1 head on it for three epochs, and selects TK neurons against
+    /// 200 frames of the high-altitude condition.
+    pub(crate) fn build(seed: u64) -> Self {
         let mut features = FeatureExtractor::new(8, seed);
         let reference = features.reference_set(200);
 
@@ -114,7 +117,42 @@ impl UavEddiRuntime {
 
         let safeml = SafeMlMonitor::new(reference, SafeMlConfig::default())
             .expect("generated reference set is well-formed");
+        DesignTime {
+            features,
+            safeml,
+            dk_model,
+            dk,
+        }
+    }
+}
 
+/// The per-UAV runtime. See the crate docs for the integration loop.
+#[derive(Debug)]
+pub struct UavEddiRuntime {
+    safedrones: SafeDronesMonitor,
+    safeml: SafeMlMonitor,
+    dk_model: Mlp,
+    dk: UncertaintyMonitor,
+    sinadra: CachedSarRiskModel,
+    spoof: SpoofDetector,
+    features: FeatureExtractor,
+    /// Reused frame buffer for [`FeatureExtractor::extract_into`], so
+    /// steady-state ticks draw the camera frame without heap traffic.
+    frame: Vec<f64>,
+    last_time: Option<SimTime>,
+    last_outputs: Option<EddiOutputs>,
+}
+
+impl UavEddiRuntime {
+    /// Builds the runtime: the [`DesignTime`] artefacts of `seed`, plus
+    /// the cached SafeDrones solver and the memoised SINADRA model.
+    pub fn new(seed: u64, safedrones: SafeDronesConfig, home: GeoPoint) -> Self {
+        let DesignTime {
+            features,
+            safeml,
+            dk_model,
+            dk,
+        } = DesignTime::build(seed);
         let mut safedrones = SafeDronesMonitor::new(safedrones);
         safedrones.enable_solver_cache();
         UavEddiRuntime {

@@ -765,6 +765,16 @@ impl Platform {
             Vec::new()
         };
 
+        // Every engine depends only on its own seed and lands by index, so
+        // the build fans out across the cores with no effect on the
+        // platform; inside a pool worker it runs inline.
+        let mut engines = if config.sesame_enabled {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            crate::shard::run_indexed(cores, n, |i| Self::eddi_engine(&config, i))
+        } else {
+            Vec::new()
+        }
+        .into_iter();
         for i in 0..n {
             let handle = sim.add_uav(UavConfig {
                 hover_drain_per_sec: profiles[i].battery_hover_drain,
@@ -775,13 +785,12 @@ impl Platform {
             let id = handle.id();
             manager.register(id, handle, "matrice300-sim", &["rgb-camera", "jetson-nx"]);
             cmd_subs.push(bus.subscribe(format!("/{id}/cmd/#")));
-            let eddi = config.sesame_enabled.then(|| Self::eddi_engine(&config, i));
             let conserts = config
                 .sesame_enabled
                 .then(|| Self::consert_runtime(&config, id));
             uavs.push(UavRt {
                 handle,
-                eddi,
+                eddi: engines.next(),
                 conserts,
                 detector: PersonDetector::new(config.seed ^ ((i as u64 + 1) << 24)),
                 route_uploaded: false,

@@ -6,18 +6,17 @@
 //! re-evaluated from scratch each tick — the SafeDrones solver rebuilds
 //! its rate profile, SafeML re-sorts both samples per column and computes
 //! dissimilarity and verdict separately, and SINADRA re-reduces and
-//! re-eliminates the full factor set. The constructor consumes the seeded
-//! RNGs in exactly the same order as the fast runtime, so a fast and a
-//! reference runtime built from the same seed hold bit-identical models,
-//! and the conformance suite can lockstep their tick outputs.
+//! re-eliminates the full factor set. Both runtimes build their models
+//! with [`DesignTime::build`], so a fast and a reference runtime built
+//! from the same seed hold bit-identical models by construction, and the
+//! conformance suite can lockstep their tick outputs.
 
 use sesame_conserts::catalog::UavEvidence;
-use sesame_deepknowledge::nn::{Activation, Mlp};
-use sesame_deepknowledge::transfer::TransferAnalyzer;
+use sesame_deepknowledge::nn::Mlp;
 use sesame_deepknowledge::uncertainty::UncertaintyMonitor;
 use sesame_safedrones::monitor::{SafeDronesConfig, SafeDronesMonitor};
 use sesame_safedrones::ReliabilityLevel;
-use sesame_safeml::monitor::{SafeMlConfig, SafeMlMonitor, SafeMlVerdict};
+use sesame_safeml::monitor::{SafeMlMonitor, SafeMlVerdict};
 use sesame_security::spoof::SpoofDetector;
 use sesame_sinadra::risk::{SarRiskModel, SituationInputs};
 use sesame_types::geo::GeoPoint;
@@ -25,7 +24,7 @@ use sesame_types::telemetry::UavTelemetry;
 use sesame_types::time::{SimDuration, SimTime};
 use sesame_vision::features::{FeatureExtractor, SceneCondition};
 
-use crate::eddi::EddiOutputs;
+use crate::eddi::{DesignTime, EddiOutputs};
 
 /// The naive per-UAV runtime: identical models, no caches.
 #[derive(Debug)]
@@ -42,40 +41,15 @@ pub struct ReferenceEddiRuntime {
 }
 
 impl ReferenceEddiRuntime {
-    /// Builds the runtime exactly as the fast path does — same reference
-    /// set, same detector-head training, same probe shift — minus the
-    /// cache enablement.
+    /// Builds the runtime on the same [`DesignTime`] artefacts as the
+    /// fast path, minus the cache enablement.
     pub fn new(seed: u64, safedrones: SafeDronesConfig, home: GeoPoint) -> Self {
-        let mut features = FeatureExtractor::new(8, seed);
-        let reference = features.reference_set(200);
-
-        // Train a small detector head on the in-domain features so the
-        // DeepKnowledge analysis runs on a genuinely trained model.
-        let mut dk_model = Mlp::new(&[8, 12, 1], Activation::Tanh, seed ^ 0xD);
-        for epoch in 0..3 {
-            for (i, row) in reference.iter().enumerate() {
-                if (i + epoch) % 2 == 0 {
-                    let label = f64::from(row.iter().sum::<f64>() > 0.0);
-                    dk_model.train_step(row, &[label], 0.05);
-                }
-            }
-        }
-        // Probe shift for TK selection: the high-altitude condition.
-        let mut probe_fx = FeatureExtractor::new(8, seed ^ 0x5117);
-        let shifted: Vec<Vec<f64>> = (0..200)
-            .map(|_| {
-                probe_fx.extract(&SceneCondition {
-                    altitude_m: 60.0,
-                    visibility: 1.0,
-                })
-            })
-            .collect();
-        let analyzer = TransferAnalyzer::analyze(&dk_model, &reference, &shifted, 0.5);
-        let dk = UncertaintyMonitor::new(analyzer, 40);
-
-        let safeml = SafeMlMonitor::new(reference, SafeMlConfig::default())
-            .expect("generated reference set is well-formed");
-
+        let DesignTime {
+            features,
+            safeml,
+            dk_model,
+            dk,
+        } = DesignTime::build(seed);
         ReferenceEddiRuntime {
             safedrones: SafeDronesMonitor::new(safedrones),
             safeml,

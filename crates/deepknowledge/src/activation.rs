@@ -49,14 +49,23 @@ impl ActivationStats {
     pub fn collect(model: &Mlp, dataset: &[Vec<f64>]) -> Self {
         assert!(!dataset.is_empty(), "dataset must not be empty");
         let width = model.hidden_neuron_count();
-        let mut columns = vec![Vec::with_capacity(dataset.len()); width];
+        let mut columns: Vec<Vec<f64>> = (0..width)
+            .map(|_| Vec::with_capacity(dataset.len()))
+            .collect();
+        // One set of pass buffers for the whole dataset.
+        let (mut output, mut trace, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
         for input in dataset {
-            let (_, trace) = model.forward_traced(input);
-            for (c, v) in trace.into_iter().enumerate() {
-                columns[c].push(v);
+            model.forward_traced_into(input, &mut output, &mut trace, &mut scratch);
+            for (column, v) in columns.iter_mut().zip(&trace) {
+                column.push(*v);
             }
         }
         ActivationStats { columns }
+    }
+
+    /// The activation columns, one per neuron, in trace order.
+    pub(crate) fn into_columns(self) -> Vec<Vec<f64>> {
+        self.columns
     }
 
     /// Number of hidden neurons traced.
@@ -84,20 +93,35 @@ impl ActivationStats {
         let mean = col.iter().sum::<f64>() / n;
         let var = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
         let mut sorted = col.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let q = |p: f64| {
-            let idx = ((p * n).ceil() as usize).clamp(1, sorted.len()) - 1;
-            sorted[idx]
-        };
+        sort_column(&mut sorted);
         NeuronStats {
             mean,
             std: var.sqrt(),
             min: sorted[0],
             max: *sorted.last().unwrap(),
-            q05: q(0.05),
-            q95: q(0.95),
+            q05: sorted_quantile(&sorted, 0.05),
+            q95: sorted_quantile(&sorted, 0.95),
         }
     }
+}
+
+/// Sorts an activation column ascending, as [`ActivationStats::stats`]
+/// does: a stable sort under `partial_cmp`, so `-0.0` and `0.0` keep
+/// their trace order.
+///
+/// # Panics
+///
+/// Panics if a comparison meets a NaN.
+pub(crate) fn sort_column(column: &mut [f64]) {
+    column.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+}
+
+/// The `p`-quantile of an ascending, non-empty column as
+/// [`ActivationStats::stats`] takes it: the value at rank `ceil(p·n)`,
+/// clamped to `1..=n`.
+pub(crate) fn sorted_quantile(sorted: &[f64], p: f64) -> f64 {
+    let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[idx]
 }
 
 #[cfg(test)]

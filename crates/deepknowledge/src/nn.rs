@@ -48,12 +48,26 @@ struct Layer {
     biases: Vec<f64>,
 }
 
+/// [`Mlp::train_step`]'s reused buffers. Scratch only: every call
+/// clears each one before reading it.
+#[derive(Debug, Clone, Default)]
+struct TrainScratch {
+    /// Every layer's output of the current step, the input first, laid
+    /// end to end.
+    outputs: Vec<f64>,
+    /// The delta row of the layer being updated.
+    delta: Vec<f64>,
+    /// The delta row of the layer below it.
+    prev: Vec<f64>,
+}
+
 /// The multilayer perceptron. See the crate docs for a training example.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Layer>,
     hidden_activation: Activation,
     sizes: Vec<usize>,
+    train: TrainScratch,
 }
 
 impl Mlp {
@@ -87,6 +101,7 @@ impl Mlp {
             layers,
             hidden_activation,
             sizes: sizes.to_vec(),
+            train: TrainScratch::default(),
         }
     }
 
@@ -168,29 +183,51 @@ impl Mlp {
     /// One SGD step on squared error toward `target`. Returns the loss
     /// before the step.
     ///
+    /// Allocation-free after the first call: the forward pass writes
+    /// every layer's output (the input first) end to end into one reused
+    /// buffer, and the backward pass ping-pongs two reused delta rows.
+    /// Every weighted sum is the same `zip(..).map(..).sum()` over the
+    /// same operands in the same order as a pass that allocates each
+    /// layer's output, so the trained weights are bit-identical to it.
+    ///
     /// # Panics
     ///
     /// Panics on size mismatches or a non-positive learning rate.
     pub fn train_step(&mut self, input: &[f64], target: &[f64], lr: f64) -> f64 {
         assert!(lr > 0.0, "learning rate must be positive");
+        assert_eq!(input.len(), self.sizes[0], "input size mismatch");
         assert_eq!(target.len(), *self.sizes.last().unwrap(), "target size");
-        // Forward pass keeping every layer's outputs.
-        let mut outputs: Vec<Vec<f64>> = vec![input.to_vec()];
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let x = outputs.last().unwrap();
-            let mut next = Vec::with_capacity(layer.biases.len());
+        let Mlp {
+            layers,
+            hidden_activation: act,
+            sizes,
+            train,
+        } = self;
+        let TrainScratch {
+            outputs,
+            delta,
+            prev,
+        } = train;
+        // Forward pass keeping every layer's outputs: layer `li` reads
+        // `outputs[start..end]` and appends its own output after it.
+        outputs.clear();
+        outputs.extend_from_slice(input);
+        let last = layers.len() - 1;
+        let mut start = 0;
+        for (li, layer) in layers.iter().enumerate() {
+            let end = outputs.len();
             for (row, b) in layer.weights.iter().zip(layer.biases.iter()) {
-                let z: f64 = row.iter().zip(x.iter()).map(|(w, xi)| w * xi).sum::<f64>() + b;
-                next.push(if li == last {
-                    sigmoid(z)
-                } else {
-                    self.hidden_activation.apply(z)
-                });
+                let z: f64 = row
+                    .iter()
+                    .zip(outputs[start..end].iter())
+                    .map(|(w, xi)| w * xi)
+                    .sum::<f64>()
+                    + b;
+                outputs.push(if li == last { sigmoid(z) } else { act.apply(z) });
             }
-            outputs.push(next);
+            start = end;
         }
-        let y = outputs.last().unwrap();
+        let y = &outputs[start..];
         let loss: f64 = y
             .iter()
             .zip(target.iter())
@@ -200,39 +237,43 @@ impl Mlp {
 
         // Backward pass.
         // delta for output layer: dL/dz = 2(y - t)/n * σ'(z), σ' = y(1-y).
-        let mut delta: Vec<f64> = y
-            .iter()
-            .zip(target.iter())
-            .map(|(o, t)| 2.0 * (o - t) / y.len() as f64 * o * (1.0 - o))
-            .collect();
-        for li in (0..self.layers.len()).rev() {
-            let x = outputs[li].clone();
+        delta.clear();
+        delta.extend(
+            y.iter()
+                .zip(target.iter())
+                .map(|(o, t)| 2.0 * (o - t) / y.len() as f64 * o * (1.0 - o)),
+        );
+        // `start` walks back to the start of layer `li`'s input.
+        for li in (0..layers.len()).rev() {
+            let end = start;
+            start -= sizes[li];
+            let x = &outputs[start..end];
             // Propagate before mutating weights.
-            let prev_delta: Vec<f64> = if li > 0 {
-                (0..self.layers[li].weights[0].len())
-                    .map(|i| {
-                        let upstream: f64 = self.layers[li]
-                            .weights
-                            .iter()
-                            .zip(delta.iter())
-                            .map(|(row, d)| row[i] * d)
-                            .sum();
-                        upstream * self.hidden_activation.derivative(outputs[li][i])
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let layer = &mut self.layers[li];
-            for (j, d) in delta.iter().enumerate() {
-                for (i, xi) in x.iter().enumerate() {
-                    layer.weights[j][i] -= lr * d * xi;
-                }
-                layer.biases[j] -= lr * d;
-            }
+            prev.clear();
             if li > 0 {
-                delta = prev_delta;
+                let weights = &layers[li].weights;
+                prev.extend((0..sizes[li]).map(|i| {
+                    let upstream: f64 = weights
+                        .iter()
+                        .zip(delta.iter())
+                        .map(|(row, d)| row[i] * d)
+                        .sum();
+                    upstream * act.derivative(x[i])
+                }));
             }
+            let layer = &mut layers[li];
+            for ((row, b), d) in layer
+                .weights
+                .iter_mut()
+                .zip(layer.biases.iter_mut())
+                .zip(delta.iter())
+            {
+                for (w, xi) in row.iter_mut().zip(x) {
+                    *w -= lr * d * xi;
+                }
+                *b -= lr * d;
+            }
+            std::mem::swap(delta, prev);
         }
         loss
     }

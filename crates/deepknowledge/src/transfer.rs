@@ -9,9 +9,9 @@
 //! distributions on the in-domain and shifted datasets and select the
 //! most stable fraction as TK neurons.
 
-use crate::activation::ActivationStats;
+use crate::activation::{sort_column, sorted_quantile, ActivationStats};
 use crate::nn::Mlp;
-use sesame_safeml::distance::kolmogorov_smirnov;
+use sesame_safeml::distance::kolmogorov_smirnov_in_place;
 
 /// Index of a hidden neuron (position in the concatenated trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,18 +46,22 @@ impl TransferAnalyzer {
             tk_fraction > 0.0 && tk_fraction <= 1.0,
             "tk_fraction must be in (0, 1]"
         );
-        let base = ActivationStats::collect(model, in_domain);
-        let moved = ActivationStats::collect(model, shifted);
-        let n = base.neuron_count();
-        let shifts: Vec<f64> = (0..n)
-            .map(|i| {
-                let a = base.column(i);
-                let b = moved.column(i);
+        let mut base = ActivationStats::collect(model, in_domain).into_columns();
+        let mut moved = ActivationStats::collect(model, shifted).into_columns();
+        let n = base.len();
+        // Each column is sorted once, in place, after the constancy check
+        // has read it in trace order; the quantiles below read the sorted
+        // base column.
+        let shifts: Vec<f64> = base
+            .iter_mut()
+            .zip(moved.iter_mut())
+            .map(|(a, b)| {
                 // Constant columns (dead ReLU units) carry no knowledge.
                 if is_constant(a) && is_constant(b) {
+                    sort_column(a);
                     1.0
                 } else {
-                    kolmogorov_smirnov(a, b)
+                    kolmogorov_smirnov_in_place(a, b)
                 }
             })
             .collect();
@@ -69,8 +73,8 @@ impl TransferAnalyzer {
         let reference_intervals = tk
             .iter()
             .map(|id| {
-                let s = base.stats(id.0);
-                (s.q05, s.q95)
+                let sorted = &base[id.0];
+                (sorted_quantile(sorted, 0.05), sorted_quantile(sorted, 0.95))
             })
             .collect();
         // Generalization score: how little the TK neurons move (1 = fully

@@ -72,23 +72,36 @@ impl std::fmt::Display for DistanceMeasure {
 }
 
 fn sorted_copy(name: &str, xs: &[f64]) -> Vec<f64> {
+    let mut v = xs.to_vec();
+    sort_sample(name, &mut v);
+    v
+}
+
+/// Checks a sample (non-empty, every value finite) and sorts it
+/// ascending in place, with the result of a stable sort: `-0.0` and
+/// `0.0` keep their sample order.
+fn sort_sample(name: &str, xs: &mut [f64]) {
     assert!(!xs.is_empty(), "{name} sample is empty");
     assert!(
         xs.iter().all(|x| x.is_finite()),
         "{name} sample contains non-finite values"
     );
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    v
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite values compare");
+    // Finite values that compare equal have equal bits, except `-0.0` and
+    // `0.0`. Without a `-0.0`, every correct sort returns the stable
+    // sort's bits, and the unstable one is faster.
+    if xs.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()) {
+        xs.sort_by(cmp);
+    } else {
+        xs.sort_unstable_by(cmp);
+    }
 }
 
-/// Walks the merged support of two sorted samples, yielding the signed ECDF
-/// difference F(x) − G(x) after each distinct point, along with the gap to
-/// the next point (for integral measures).
-fn ecdf_diff_walk(a: &[f64], b: &[f64]) -> Vec<(f64, f64, f64)> {
-    // Returns (x, diff_after_x, gap_to_next_x); gap of last point is 0.
+/// Walks the merged support of two sorted samples, calling `visit(x,
+/// diff)` with the signed ECDF difference F(x) − G(x) after each
+/// distinct point `x`, in ascending order.
+fn for_each_ecdf_diff(a: &[f64], b: &[f64], mut visit: impl FnMut(f64, f64)) {
     let (n, m) = (a.len() as f64, b.len() as f64);
-    let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() || j < b.len() {
         let x = match (a.get(i), b.get(j)) {
@@ -103,9 +116,15 @@ fn ecdf_diff_walk(a: &[f64], b: &[f64]) -> Vec<(f64, f64, f64)> {
         while j < b.len() && b[j] == x {
             j += 1;
         }
-        let diff = i as f64 / n - j as f64 / m;
-        out.push((x, diff, 0.0));
+        visit(x, i as f64 / n - j as f64 / m);
     }
+}
+
+/// The points of [`for_each_ecdf_diff`] as `(x, diff_after_x,
+/// gap_to_next_x)`, for the integral measures; the last gap is 0.
+fn ecdf_diff_walk(a: &[f64], b: &[f64]) -> Vec<(f64, f64, f64)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    for_each_ecdf_diff(a, b, |x, diff| out.push((x, diff, 0.0)));
     for k in 0..out.len().saturating_sub(1) {
         out[k].2 = out[k + 1].0 - out[k].0;
     }
@@ -123,11 +142,31 @@ fn ecdf_diff_walk(a: &[f64], b: &[f64]) -> Vec<(f64, f64, f64)> {
 /// assert_eq!(d, 0.0);
 /// ```
 pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
-    let (a, b) = (sorted_copy("first", a), sorted_copy("second", b));
-    ecdf_diff_walk(&a, &b)
-        .into_iter()
-        .map(|(_, d, _)| d.abs())
-        .fold(0.0, f64::max)
+    kolmogorov_smirnov_in_place(&mut a.to_vec(), &mut b.to_vec())
+}
+
+/// [`kolmogorov_smirnov`] on samples the caller lets it sort: the same
+/// checks and panics, in the same order, and the same bits, without the
+/// copies. On return both slices are sorted ascending (stable, so `-0.0`
+/// and `0.0` keep their sample order). The walk keeps only the running
+/// maximum of `|F − G|`, folded in the same order as `f64::max` over the
+/// walk's points.
+///
+/// # Examples
+///
+/// ```
+/// use sesame_safeml::distance::kolmogorov_smirnov_in_place;
+///
+/// let (mut a, mut b) = ([3.0, 1.0, 2.0], [2.5, 0.5]);
+/// assert_eq!(kolmogorov_smirnov_in_place(&mut a, &mut b), 0.5);
+/// assert_eq!(a, [1.0, 2.0, 3.0]);
+/// ```
+pub fn kolmogorov_smirnov_in_place(a: &mut [f64], b: &mut [f64]) -> f64 {
+    sort_sample("first", a);
+    sort_sample("second", b);
+    let mut d = 0.0;
+    for_each_ecdf_diff(a, b, |_, diff| d = f64::max(d, diff.abs()));
+    d
 }
 
 /// The ECDF fractions `(#ref < value / n, #ref ≤ value / n)` of `value`
@@ -362,6 +401,21 @@ mod tests {
 
     fn shifted(by: f64) -> Vec<f64> {
         A.iter().map(|x| x + by).collect()
+    }
+
+    /// The in-place statistic sorts as a stable sort does: `-0.0` and
+    /// `0.0` keep their sample order, with either sign first.
+    #[test]
+    fn in_place_sort_keeps_signed_zeros_in_sample_order() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for zeros in [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]] {
+            let mut a = [1.0, zeros[0], -1.0, zeros[1], 2.0, zeros[2]];
+            let mut b = [0.5, -0.5];
+            let d = kolmogorov_smirnov_in_place(&mut a, &mut b);
+            assert_eq!(d.to_bits(), kolmogorov_smirnov(&a, &b).to_bits());
+            let want = [-1.0, zeros[0], zeros[1], zeros[2], 1.0, 2.0];
+            assert_eq!(bits(&a), bits(&want));
+        }
     }
 
     #[test]

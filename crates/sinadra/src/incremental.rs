@@ -30,15 +30,16 @@
 //! a cached reduction of the base factors that the tapes replaced; they
 //! are kept exactly so the digests do not move.
 //!
-//! The memo's table is pre-sized to `MEMO_CAP` (1024) entries and pins
-//! ~84 KB per UAV. A build without the memo cut a 200-UAV fleet's peak
-//! RSS from 39.0 MB to 23.0 MB, but it changes the digested counters, so
-//! removing the memo waits for a change that re-pins the benchmark
-//! digests.
+//! The memo is an insertion-ordered entry `Vec` reserved for `MEMO_CAP`
+//! (1024) entries of 32 bytes, found through an open-addressing index of
+//! `u16` positions (2048 slots, 4 KB) under a fixed multiplicative hash:
+//! ~36 KB per UAV, against the ~84 KB SipHash table it replaced. A build without the memo cut a 200-UAV
+//! fleet's peak RSS from 39.0 MB to 23.0 MB, but it changes the digested
+//! counters, so removing the memo waits for a change that re-pins the
+//! benchmark digests.
 
 use crate::inference::{compile_query, Evidence, QueryTape};
 use crate::risk::{RiskAssessment, SarRiskModel, SituationInputs};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Counters of the memo and of the flags check on memo misses.
@@ -72,6 +73,92 @@ impl BnCacheStats {
 /// Upper bound on memo entries; reaching it clears the memo (the key space
 /// is effectively unbounded because the uncertainty is continuous).
 const MEMO_CAP: usize = 1024;
+
+/// Slots of the memo's index: twice `MEMO_CAP`, so a probe meets an
+/// empty slot within a few steps (load factor at most 1/2).
+const INDEX_SLOTS: usize = 2 * MEMO_CAP;
+
+/// One memoised assessment and its key, packed into 32 bytes (a
+/// `RiskAssessment` field would pad the entry to 40, and the reserved
+/// entries of a fleet's memos are resident once the allocator recycles
+/// them).
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    /// `f64::to_bits` of the clamped uncertainty.
+    u_bits: u64,
+    missed: f64,
+    criticality: f64,
+    /// The packed situation flags.
+    flags: u8,
+    rescan: bool,
+}
+
+/// The full-result memo: a hit means the key `(u_bits, flags)` was
+/// inserted since the last clear, and the memo clears when an insert
+/// finds it holding `MEMO_CAP` entries.
+#[derive(Debug, Clone)]
+struct Memo {
+    /// The entries since the last clear, in insertion order. Reserved
+    /// for `MEMO_CAP` at construction, so inserts never reallocate.
+    entries: Vec<MemoEntry>,
+    /// Linear-probing index: 0 marks an empty slot, `k` the entry at
+    /// position `k − 1` (`MEMO_CAP` fits a `u16`).
+    index: Box<[u16]>,
+}
+
+impl Memo {
+    fn new() -> Self {
+        Memo {
+            entries: Vec::with_capacity(MEMO_CAP),
+            index: vec![0; INDEX_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// The key's home slot: a Fibonacci hash of the uncertainty's bits
+    /// with the flags folded into the low bits, keeping the top
+    /// `log2(INDEX_SLOTS)` bits of the product.
+    fn home(u_bits: u64, flags: u8) -> usize {
+        let h = (u_bits ^ u64::from(flags)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - INDEX_SLOTS.trailing_zeros())) as usize
+    }
+
+    fn get(&self, u_bits: u64, flags: u8) -> Option<RiskAssessment> {
+        let mut slot = Self::home(u_bits, flags);
+        loop {
+            // An empty slot ends the probe: the key is absent.
+            let e = &self.entries[usize::from(self.index[slot]).checked_sub(1)?];
+            if e.u_bits == u_bits && e.flags == flags {
+                return Some(RiskAssessment {
+                    missed_person_prob: e.missed,
+                    criticality_high_prob: e.criticality,
+                    rescan_advised: e.rescan,
+                });
+            }
+            slot = (slot + 1) % INDEX_SLOTS;
+        }
+    }
+
+    /// Inserts a key [`Memo::get`] just missed, clearing first when full.
+    fn insert(&mut self, u_bits: u64, flags: u8, out: RiskAssessment) {
+        if self.entries.len() >= MEMO_CAP {
+            self.entries.clear();
+            self.index.fill(0);
+        }
+        let mut slot = Self::home(u_bits, flags);
+        while self.index[slot] != 0 {
+            slot = (slot + 1) % INDEX_SLOTS;
+        }
+        self.entries.push(MemoEntry {
+            u_bits,
+            missed: out.missed_person_prob,
+            criticality: out.criticality_high_prob,
+            flags,
+            rescan: out.rescan_advised,
+        });
+        // At most MEMO_CAP entries, so the position fits.
+        self.index[slot] = self.entries.len() as u16;
+    }
+}
 
 /// The two SAR queries, `[missed, criticality]`, for one flags mask and
 /// one evidence shape.
@@ -128,7 +215,7 @@ pub struct CachedSarRiskModel {
     model: SarRiskModel,
     /// Flags of the previous memo miss.
     last_flags: Option<u8>,
-    memo: HashMap<(u64, u8), RiskAssessment>,
+    memo: Memo,
     stats: BnCacheStats,
 }
 
@@ -140,11 +227,7 @@ impl CachedSarRiskModel {
         CachedSarRiskModel {
             model,
             last_flags: None,
-            // Pre-sized to MEMO_CAP so steady-state inserts never rehash:
-            // the memo holds at most MEMO_CAP entries (it is cleared at the
-            // cap, which keeps the buckets), so with the capacity reserved
-            // up front the memo performs zero allocations after this point.
-            memo: HashMap::with_capacity(MEMO_CAP),
+            memo: Memo::new(),
             stats: BnCacheStats::default(),
         }
     }
@@ -166,10 +249,10 @@ impl CachedSarRiskModel {
             | u8::from(inputs.visibility_poor) << 1
             | u8::from(inputs.person_likely) << 2
             | u8::from(inputs.time_pressure_high) << 3;
-        let key = (u.to_bits(), flags);
-        if let Some(hit) = self.memo.get(&key) {
+        let u_bits = u.to_bits();
+        if let Some(hit) = self.memo.get(u_bits, flags) {
             self.stats.memo_hits += 1;
-            return *hit;
+            return hit;
         }
         self.stats.memo_misses += 1;
         if self.last_flags == Some(flags) {
@@ -192,10 +275,7 @@ impl CachedSarRiskModel {
             criticality_high_prob: criticality,
             rescan_advised: criticality >= self.model.rescan_threshold(),
         };
-        if self.memo.len() >= MEMO_CAP {
-            self.memo.clear();
-        }
-        self.memo.insert(key, out);
+        self.memo.insert(u_bits, flags, out);
         out
     }
 }
@@ -272,6 +352,76 @@ mod tests {
                 base_misses: 12,
             }
         );
+    }
+
+    /// The memo against a `HashMap` with the same clear-at-cap rule, on
+    /// seeded streams that cross several clears: keys repeat (a small
+    /// pool of uncertainties and all 16 flag masks), and `0.0` and
+    /// `-0.0` are distinct keys.
+    #[test]
+    fn memo_matches_a_hash_map_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::HashMap;
+
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Small pools repeat keys often; large ones fill the memo.
+            let pool: Vec<f64> = (0..[3, 40, 600, 5000][seed as usize % 4])
+                .map(|k| match k % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.random::<f64>(),
+                })
+                .collect();
+            let mut memo = Memo::new();
+            let mut oracle: HashMap<(u64, u8), RiskAssessment> = HashMap::new();
+            let mut clears = 0;
+            for step in 0..6000u32 {
+                let u = pool[(rng.random::<u64>() % pool.len() as u64) as usize];
+                let flags = (rng.random::<u64>() % 16) as u8;
+                let key = (u.to_bits(), flags);
+                let got = memo.get(key.0, key.1);
+                assert_eq!(got, oracle.get(&key).copied(), "seed {seed} step {step}");
+                if got.is_none() {
+                    let out = RiskAssessment {
+                        missed_person_prob: f64::from(step),
+                        criticality_high_prob: u,
+                        rescan_advised: step % 3 == 0,
+                    };
+                    if oracle.len() >= MEMO_CAP {
+                        oracle.clear();
+                        clears += 1;
+                    }
+                    oracle.insert(key, out);
+                    memo.insert(key.0, key.1, out);
+                }
+                assert_eq!(memo.entries.len(), oracle.len());
+            }
+            if pool.len() > 2 * MEMO_CAP {
+                assert!(
+                    clears >= 3,
+                    "seed {seed}: the stream crosses several clears"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_uncertainties_are_distinct_keys() {
+        let mut cached = CachedSarRiskModel::new(SarRiskModel::new());
+        let inputs = |u: f64| SituationInputs {
+            detection_uncertainty: u,
+            altitude_high: false,
+            visibility_poor: false,
+            person_likely: true,
+            time_pressure_high: true,
+        };
+        cached.assess(&inputs(0.0));
+        cached.assess(&inputs(-0.0));
+        assert_eq!(cached.stats().memo_misses, 2, "-0.0 keys apart from 0.0");
+        cached.assess(&inputs(-0.0));
+        assert_eq!(cached.stats().memo_hits, 1);
     }
 
     #[test]

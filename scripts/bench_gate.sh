@@ -11,9 +11,10 @@
 #   - speedup (fast vs in-process reference) below 80% of baseline fails.
 #     Both paths see the same machine noise, so the ratio is stable and
 #     a >20% drop means the fast path genuinely regressed.
-#   - absolute throughput below 50% of baseline fails. Wall-clock
-#     throughput swings with load, so this is deliberately loose: it
-#     only catches order-of-magnitude collapses, not scheduler noise.
+#   - absolute throughput below 50% of baseline fails, and an absolute
+#     wall-clock time above 2x baseline fails. Wall-clock numbers swing
+#     with load, so these are deliberately loose: they only catch
+#     order-of-magnitude collapses, not scheduler noise.
 # Refresh the baselines when moving to different hardware.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -110,6 +111,12 @@ gate BENCH_eddi.json  ticks_per_sec     0.5 eddibench
 # the naive dissimilarity() + verdict() pair on the same samples, timed
 # in the same rounds (median round), so both sides see the same noise.
 gate BENCH_eddi.json  safeml_speedup    0.8 eddibench-safeml
+# Construction: serial UavEddiRuntime::new per UAV and the 200-UAV build
+# fanned out over the shard pool. Both are absolute wall clock with no
+# in-process reference to divide by, so the ceiling is loose (see the
+# header): it catches a lost fan-out or a collapsed kernel, not noise.
+gate_max BENCH_eddi.json construct_us_per_uav 2.0 eddibench-construct
+gate_max BENCH_eddi.json fleet_build_ms       2.0 eddibench-construct
 # fleetbench's headline is the largest fleet's per-UAV throughput; the
 # sharded/serial speedup hovers near 1.0 on small machines (Auto stays
 # serial below the core budget), so only the absolute floor is gated.

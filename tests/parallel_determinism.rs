@@ -123,3 +123,73 @@ fn generic_executor_reduces_seed_keyed() {
         assert_eq!(parallel::run_seeds(jobs, &seeds, f), serial, "jobs={jobs}");
     }
 }
+
+/// A 64-UAV platform ticked `ticks` times, digested. Its construction
+/// fans the EDDI engine builds out over the shard pool, or runs them
+/// inline when called from inside a pool worker.
+fn built_and_ticked(ticks: usize) -> u64 {
+    use sesame::core::checkpoint::digest_platform;
+    use sesame::core::{FleetSpec, Platform, PlatformConfig};
+
+    let mut p = Platform::new(PlatformConfig {
+        area_width_m: 400.0,
+        area_height_m: 300.0,
+        person_count: 5,
+        seed: 77,
+        fleet: FleetSpec::uniform(64),
+        ..PlatformConfig::default()
+    });
+    p.launch();
+    for _ in 0..ticks {
+        p.step();
+    }
+    digest_platform(&p)
+}
+
+#[test]
+fn platform_construction_is_identical_on_the_pool_inline_and_concurrently() {
+    use sesame::core::shard;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const TICKS: usize = 12;
+
+    // 1. Built from this thread: the engine builds fan out on the pool.
+    let pooled = built_and_ticked(TICKS);
+
+    // 2. Built inside a pool worker, where the nested fan-out runs
+    // inline. The calling thread also drains the outer job, so whichever
+    // item it claims waits until a worker has claimed the other; only
+    // the worker's item builds.
+    let on_worker = AtomicBool::new(false);
+    let inline: Vec<u64> = shard::run_indexed(2, 2, |_| {
+        if std::thread::current().name() == Some("sesame-shard") {
+            on_worker.store(true, Ordering::SeqCst);
+            Some(built_and_ticked(TICKS))
+        } else {
+            while !on_worker.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            None
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert_eq!(inline.len(), 1, "exactly one build ran on a pool worker");
+
+    // 3. Two platforms built at once from two threads: the pool takes
+    // one job at a time, so one build waits for (or interleaves with)
+    // the other, as two campaign-service workers do.
+    let concurrent: Vec<u64> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| built_and_ticked(TICKS)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    assert_eq!(inline[0], pooled, "inline build vs pool build");
+    assert_eq!(
+        concurrent,
+        vec![pooled, pooled],
+        "concurrent builds vs pool build"
+    );
+}
