@@ -31,12 +31,12 @@
 //!
 //! A third section times construction, the design-time half of each
 //! runtime (reference draw, detector-head training, TK analysis).
-//! First, a 200-UAV fleet of fast runtimes is built on the shard pool
-//! exactly as `Platform::new` builds it, and every runtime is ticked in
-//! lockstep against a `ReferenceEddiRuntime` of its seed; any bit of
-//! divergence aborts the run. Then `construct_us_per_uav` (median
-//! `UavEddiRuntime::new`, serial) and `fleet_build_ms` (median 200-UAV
-//! build on the pool) are reported.
+//! First, a 200-UAV fleet of fast runtimes is built and every runtime is
+//! ticked in lockstep against a `ReferenceEddiRuntime` of its seed; any
+//! bit of divergence aborts the run. Then `construct_us_per_uav` (median
+//! serial `UavEddiRuntime::new`) and `fleet_build_ms` (median
+//! `Platform::new` of `fleet_200uav`'s 200-UAV configuration, whose
+//! engine builds fan out over the shard pool) are reported.
 
 use sesame_bench::alloc::{allocations, CountingAllocator};
 use sesame_bench::cli::{BenchArgs, JsonReport};
@@ -44,7 +44,7 @@ use sesame_conserts::catalog::{
     certified_navigation_accuracy_m, evaluate_uav, uav_consert_network, UavAction,
 };
 use sesame_conserts::IncrementalConsertNetwork;
-use sesame_core::{shard, ReferenceEddiRuntime, UavEddiRuntime};
+use sesame_core::{FleetSpec, Platform, PlatformConfig, ReferenceEddiRuntime, UavEddiRuntime};
 use sesame_safedrones::monitor::SafeDronesConfig;
 use sesame_safeml::monitor::{SafeMlConfig, SafeMlMonitor, SafeMlVerdict};
 use sesame_types::geo::GeoPoint;
@@ -290,28 +290,32 @@ fn run_safeml(rounds: u64) -> SafeMlTimings {
 }
 
 /// Construction timings: the median serial `UavEddiRuntime::new` in
-/// microseconds, and the median `FLEET`-UAV build on the shard pool in
+/// microseconds, and the median `FLEET`-UAV `Platform::new` in
 /// milliseconds.
 struct ConstructTimings {
     us_per_uav: f64,
     fleet_build_ms: f64,
 }
 
-/// Builds `FLEET` fast runtimes as `Platform::new` does: fanned out over
-/// the shard pool at the machine's parallelism, placed by index.
-fn build_fleet() -> Vec<UavEddiRuntime> {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    shard::run_indexed(cores, FLEET, |i| {
-        UavEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home())
-    })
+/// `fleet_200uav`'s platform configuration at seed 42.
+fn fleet_config() -> PlatformConfig {
+    PlatformConfig {
+        area_width_m: 400.0,
+        area_height_m: 300.0,
+        person_count: 5,
+        seed: 42,
+        fleet: FleetSpec::uniform(FLEET),
+        ..PlatformConfig::default()
+    }
 }
 
-/// Checks a pool-built fleet against the reference runtime over
+/// Checks `FLEET` fast runtimes against the reference runtime over
 /// `check_ticks` ticks per UAV, then times `samples` serial builds and
-/// `builds` fleet builds. Panics on the first divergent bit.
+/// `builds` fleet platforms. Panics on the first divergent bit.
 fn run_construct(check_ticks: u64, samples: usize, builds: usize) -> ConstructTimings {
     let sc = scene();
-    for (i, mut fast) in build_fleet().into_iter().enumerate() {
+    for i in 0..FLEET {
+        let mut fast = UavEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home());
         let mut naive = ReferenceEddiRuntime::new(uav_seed(i), SafeDronesConfig::default(), home());
         for r in 0..check_ticks {
             let tel = telemetry(i % UAVS, r);
@@ -330,8 +334,7 @@ fn run_construct(check_ticks: u64, samples: usize, builds: usize) -> ConstructTi
             assert_eq!(
                 bits(&f),
                 bits(&n),
-                "UAV {i} built on the pool diverged from the reference runtime at tick {r} \
-                 — refusing to report"
+                "UAV {i} diverged from the reference runtime at tick {r} — refusing to report"
             );
         }
     }
@@ -350,10 +353,11 @@ fn run_construct(check_ticks: u64, samples: usize, builds: usize) -> ConstructTi
         .collect();
     let fleet = (0..builds)
         .map(|_| {
+            let config = fleet_config();
             let t = Instant::now();
-            let fleet = build_fleet();
+            let platform = Platform::new(config);
             let ms = t.elapsed().as_secs_f64() * 1e3;
-            drop(fleet);
+            drop(platform);
             ms
         })
         .collect();
@@ -446,7 +450,7 @@ fn main() {
         safeml.per_push, safeml.per_assessment, safeml.per_naive
     );
     eprintln!(
-        "eddibench: construction {:.0} us per UAV, {FLEET}-UAV build on the pool {:.1} ms",
+        "eddibench: construction {:.0} us per UAV, {FLEET}-UAV Platform::new {:.1} ms",
         construct.us_per_uav, construct.fleet_build_ms
     );
     if speedup < 3.0 {

@@ -96,6 +96,11 @@ pub struct FleetGroup {
 /// Outputs are invariant under the policy: the shard executor merges
 /// per-shard results in fleet order, so any shard count — on any core
 /// count — reproduces the one-shard run bit for bit.
+/// The smallest fleet whose per-UAV work fans out over the shard pool
+/// by default (the tick under [`ShardPolicy::Auto`], the EDDI build in
+/// `Platform::new`): below it, waking the pool costs more than it saves.
+pub(crate) const MIN_PARALLEL_FLEET: usize = 16;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
     /// One shard: everything on the caller's thread.
@@ -120,7 +125,7 @@ impl ShardPolicy {
             ShardPolicy::Serial => 1,
             ShardPolicy::Fixed { shards } => (*shards).max(1),
             ShardPolicy::Auto => {
-                if fleet_size < 16 {
+                if fleet_size < MIN_PARALLEL_FLEET {
                     1
                 } else {
                     let cores = std::thread::available_parallelism()

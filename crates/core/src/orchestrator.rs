@@ -767,10 +767,15 @@ impl Platform {
 
         // Every engine depends only on its own seed and lands by index, so
         // the build fans out across the cores with no effect on the
-        // platform; inside a pool worker it runs inline.
+        // platform. A small fleet builds on this thread, and inside a job
+        // body the fan-out runs inline.
         let mut engines = if config.sesame_enabled {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            crate::shard::run_indexed(cores, n, |i| Self::eddi_engine(&config, i))
+            let jobs = if n < crate::fleet::MIN_PARALLEL_FLEET {
+                1
+            } else {
+                std::thread::available_parallelism().map_or(1, |c| c.get())
+            };
+            crate::shard::run_indexed(jobs, n, |i| Self::eddi_engine(&config, i))
         } else {
             Vec::new()
         }

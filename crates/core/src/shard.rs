@@ -97,10 +97,12 @@ use std::sync::{Mutex, Once};
 ///   checked under the state lock), and the job is uninstalled before
 ///   the barrier opens.
 ///
-/// A nested fan-out from inside a worker (the body of one job calling
-/// [`run_indexed`] again) runs inline on that worker instead of
-/// submitting — the pool is draining the outer job, and waiting on it
-/// from one of its own workers would deadlock.
+/// A nested fan-out from inside a job body (the body of one job calling
+/// [`run_indexed`] again) runs inline instead of submitting — on a
+/// worker and on the submitting thread alike. The pool is draining the
+/// outer job: a worker that waited on it would deadlock, and the
+/// submitting thread would stall until the helpers had drained every
+/// other item.
 mod pool {
     use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -153,9 +155,10 @@ mod pool {
     }
 
     thread_local! {
-        /// Whether this thread is a pool worker (nested fan-outs run
-        /// inline, see the module docs).
-        static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+        /// Whether this thread is running a job body: always on a pool
+        /// worker, and on a submitting thread while it drains its own
+        /// job (nested fan-outs run inline, see the module docs).
+        static IN_JOB: Cell<bool> = const { Cell::new(false) };
     }
 
     /// Waits for `epoch` to retire when dropped — the completion
@@ -178,7 +181,7 @@ mod pool {
     /// job, run its body once, retire the job when the last entry
     /// leaves, sleep until the next installation.
     fn worker_loop() {
-        IS_WORKER.with(|w| w.set(true));
+        IN_JOB.with(|w| w.set(true));
         let pool = global();
         let mut st = pool.state.lock().expect("pool state never poisoned");
         loop {
@@ -217,8 +220,8 @@ mod pool {
     /// has finished. `body` must be idempotent under extra runs (the
     /// cursor-drain bodies are: a drained cursor returns immediately).
     pub(super) fn run(helpers: usize, body: &(dyn Fn() + Sync)) {
-        if helpers == 0 || IS_WORKER.with(Cell::get) {
-            // Serial, or a nested fan-out inside a worker: inline.
+        if helpers == 0 || IN_JOB.with(Cell::get) {
+            // Serial, or a nested fan-out inside a job body: inline.
             body();
             return;
         }
@@ -256,9 +259,28 @@ mod pool {
         pool.work.notify_all();
         let _barrier = Barrier { epoch };
         // Participate: the caller's run is what guarantees progress even
-        // if every helper is still waking up.
+        // if every helper is still waking up. While it runs, the caller
+        // counts as inside the job, and `_in_job` clears that on return
+        // and on unwind.
+        let _in_job = InJob::enter();
         body();
-        // `_barrier` drops here, waiting for the helpers.
+        // `_in_job` drops here, then `_barrier`, waiting for the helpers.
+    }
+
+    /// Marks the submitting thread as inside its job until dropped.
+    struct InJob;
+
+    impl InJob {
+        fn enter() -> InJob {
+            IN_JOB.with(|w| w.set(true));
+            InJob
+        }
+    }
+
+    impl Drop for InJob {
+        fn drop(&mut self) {
+            IN_JOB.with(|w| w.set(false));
+        }
     }
 }
 
@@ -513,6 +535,38 @@ mod tests {
         for jobs in [2, 4, 8, 16] {
             assert_eq!(run_indexed(jobs, 100, |i| i * 3), serial, "jobs={jobs}");
         }
+    }
+
+    /// A fan-out nested in a job body runs inline on the thread that
+    /// claimed the outer item, the submitting thread included: it never
+    /// waits for the outer job to retire.
+    #[test]
+    fn nested_fan_outs_run_inline_on_every_participant() {
+        use std::time::{Duration, Instant};
+        let caller = std::thread::current().id();
+        let both_started = std::sync::Barrier::new(2);
+        let caller_nested_done = std::sync::atomic::AtomicBool::new(false);
+        let inline_on = |me| run_indexed(2, 8, |_| std::thread::current().id()) == [me; 8];
+        let out = run_indexed(2, 2, |_| {
+            // Each item waits for the other, so one runs on the
+            // submitting thread and one on the pool's helper.
+            both_started.wait();
+            let me = std::thread::current().id();
+            if me == caller {
+                let inline = inline_on(me);
+                caller_nested_done.store(true, Ordering::SeqCst);
+                inline
+            } else {
+                // The helper's item keeps the outer job open until the
+                // submitting thread's nested fan-out has returned.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !caller_nested_done.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                caller_nested_done.load(Ordering::SeqCst) && inline_on(me)
+            }
+        });
+        assert_eq!(out, [true, true]);
     }
 
     #[test]

@@ -401,6 +401,14 @@ mod tests {
         let _ = mlp.forward(&[1.0]);
     }
 
+    /// A short input does not train on a prefix of the first layer.
+    #[test]
+    #[should_panic(expected = "input size mismatch")]
+    fn short_training_input_panics() {
+        let mut mlp = Mlp::new(&[2, 3, 1], Activation::Relu, 1);
+        let _ = mlp.train_step(&[1.0], &[0.5], 0.1);
+    }
+
     #[test]
     #[should_panic(expected = "at least input and output")]
     fn too_few_layers_panics() {

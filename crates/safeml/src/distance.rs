@@ -77,24 +77,15 @@ fn sorted_copy(name: &str, xs: &[f64]) -> Vec<f64> {
     v
 }
 
-/// Checks a sample (non-empty, every value finite) and sorts it
-/// ascending in place, with the result of a stable sort: `-0.0` and
-/// `0.0` keep their sample order.
+/// Checks a sample (non-empty, every value finite) and stable-sorts it
+/// ascending in place: `-0.0` and `0.0` keep their sample order.
 fn sort_sample(name: &str, xs: &mut [f64]) {
     assert!(!xs.is_empty(), "{name} sample is empty");
     assert!(
         xs.iter().all(|x| x.is_finite()),
         "{name} sample contains non-finite values"
     );
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite values compare");
-    // Finite values that compare equal have equal bits, except `-0.0` and
-    // `0.0`. Without a `-0.0`, every correct sort returns the stable
-    // sort's bits, and the unstable one is faster.
-    if xs.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()) {
-        xs.sort_by(cmp);
-    } else {
-        xs.sort_unstable_by(cmp);
-    }
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
 }
 
 /// Walks the merged support of two sorted samples, calling `visit(x,
@@ -142,7 +133,11 @@ fn ecdf_diff_walk(a: &[f64], b: &[f64]) -> Vec<(f64, f64, f64)> {
 /// assert_eq!(d, 0.0);
 /// ```
 pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
-    kolmogorov_smirnov_in_place(&mut a.to_vec(), &mut b.to_vec())
+    let (a, b) = (sorted_copy("first", a), sorted_copy("second", b));
+    ecdf_diff_walk(&a, &b)
+        .into_iter()
+        .map(|(_, d, _)| d.abs())
+        .fold(0.0, f64::max)
 }
 
 /// [`kolmogorov_smirnov`] on samples the caller lets it sort: the same

@@ -111,12 +111,13 @@ gate BENCH_eddi.json  ticks_per_sec     0.5 eddibench
 # the naive dissimilarity() + verdict() pair on the same samples, timed
 # in the same rounds (median round), so both sides see the same noise.
 gate BENCH_eddi.json  safeml_speedup    0.8 eddibench-safeml
-# Construction: serial UavEddiRuntime::new per UAV and the 200-UAV build
-# fanned out over the shard pool. Both are absolute wall clock with no
-# in-process reference to divide by, so the ceiling is loose (see the
-# header): it catches a lost fan-out or a collapsed kernel, not noise.
+# Construction: serial UavEddiRuntime::new per UAV. It is absolute wall
+# clock with no in-process reference to divide by, so the ceiling is
+# loose (see the header): it catches a collapsed kernel, not noise.
+# fleet_build_ms (the 200-UAV Platform::new, fanned out over the pool) is
+# reported but not gated: on a 2-vCPU guest the scheduler at times runs
+# both pool threads on one vCPU for whole runs, which alone doubles it.
 gate_max BENCH_eddi.json construct_us_per_uav 2.0 eddibench-construct
-gate_max BENCH_eddi.json fleet_build_ms       2.0 eddibench-construct
 # fleetbench's headline is the largest fleet's per-UAV throughput; the
 # sharded/serial speedup hovers near 1.0 on small machines (Auto stays
 # serial below the core budget), so only the absolute floor is gated.

@@ -126,7 +126,7 @@ fn generic_executor_reduces_seed_keyed() {
 
 /// A 64-UAV platform ticked `ticks` times, digested. Its construction
 /// fans the EDDI engine builds out over the shard pool, or runs them
-/// inline when called from inside a pool worker.
+/// inline when called from inside a job body.
 fn built_and_ticked(ticks: usize) -> u64 {
     use sesame::core::checkpoint::digest_platform;
     use sesame::core::{FleetSpec, Platform, PlatformConfig};
@@ -149,32 +149,25 @@ fn built_and_ticked(ticks: usize) -> u64 {
 #[test]
 fn platform_construction_is_identical_on_the_pool_inline_and_concurrently() {
     use sesame::core::shard;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
     const TICKS: usize = 12;
 
     // 1. Built from this thread: the engine builds fan out on the pool.
     let pooled = built_and_ticked(TICKS);
 
-    // 2. Built inside a pool worker, where the nested fan-out runs
-    // inline. The calling thread also drains the outer job, so whichever
-    // item it claims waits until a worker has claimed the other; only
-    // the worker's item builds.
-    let on_worker = AtomicBool::new(false);
-    let inline: Vec<u64> = shard::run_indexed(2, 2, |_| {
-        if std::thread::current().name() == Some("sesame-shard") {
-            on_worker.store(true, Ordering::SeqCst);
-            Some(built_and_ticked(TICKS))
-        } else {
-            while !on_worker.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            None
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    assert_eq!(inline.len(), 1, "exactly one build ran on a pool worker");
+    // 2. Built inside a job body, where the nested fan-out runs inline:
+    // each item waits for the other, so one build runs on the submitting
+    // thread and one on the pool's helper.
+    let both_started = Barrier::new(2);
+    let nested = shard::run_indexed(2, 2, |_| {
+        both_started.wait();
+        let on_worker = std::thread::current().name() == Some("sesame-shard");
+        (on_worker, built_and_ticked(TICKS))
+    });
+    assert!(
+        nested[0].0 != nested[1].0,
+        "one build on the submitting thread, one on a pool worker"
+    );
 
     // 3. Two platforms built at once from two threads: the pool takes
     // one job at a time, so one build waits for (or interleaves with)
@@ -186,7 +179,9 @@ fn platform_construction_is_identical_on_the_pool_inline_and_concurrently() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    assert_eq!(inline[0], pooled, "inline build vs pool build");
+    for (_, digest) in nested {
+        assert_eq!(digest, pooled, "nested build vs pool build");
+    }
     assert_eq!(
         concurrent,
         vec![pooled, pooled],
