@@ -22,10 +22,15 @@
 //!
 //! A request line longer than [`MAX_LINE_LEN`] bytes gets
 //! `err line exceeds 4096 bytes` and the connection is closed.
+//!
+//! Both ends buffer their writes and set `TCP_NODELAY`: a reply (and a
+//! request) reaches the kernel in one flush and leaves at once. Written
+//! in pieces to a socket with Nagle's algorithm on, every piece after
+//! the first would wait for the peer's delayed ACK, ~40 ms on Linux.
 
 use crate::job::{JobId, JobSpec, JobState};
 use crate::runtime::ServerRuntime;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -130,7 +135,8 @@ fn parse_job(token: &str) -> Option<JobId> {
 }
 
 fn handle_conn(conn: TcpStream, runtime: ServerRuntime, stop: Arc<AtomicBool>) -> io::Result<()> {
-    let mut writer = conn.try_clone()?;
+    conn.set_nodelay(true)?;
+    let mut writer = BufWriter::new(conn.try_clone()?);
     let mut reader = BufReader::new(conn);
     let mut raw = Vec::new();
     loop {
@@ -197,21 +203,16 @@ fn handle_conn(conn: TcpStream, runtime: ServerRuntime, stop: Arc<AtomicBool>) -
                 }
             }
             "CHAIN" => writeln!(writer, "ok chain={:#018x}", runtime.chain())?,
-            "STREAM" => {
-                let target = match tokens.next() {
-                    Some("all") | None => None,
-                    Some(token) => match parse_job(token) {
-                        Some(id) => Some(id),
-                        None => {
-                            writeln!(writer, "err usage: STREAM <job|all>")?;
-                            continue;
-                        }
-                    },
-                };
-                stream_events(&mut writer, &runtime, &stop, target)?;
-            }
+            "STREAM" => match tokens.next() {
+                Some("all") | None => stream_events(&mut writer, &runtime, &stop, None)?,
+                Some(token) => match parse_job(token) {
+                    Some(id) => stream_events(&mut writer, &runtime, &stop, Some(id))?,
+                    None => writeln!(writer, "err usage: STREAM <job|all>")?,
+                },
+            },
             "SHUTDOWN" => {
                 writeln!(writer, "ok shutting-down")?;
+                writer.flush()?;
                 stop.store(true, Ordering::Release);
                 runtime.shutdown();
                 return Ok(());
@@ -224,7 +225,7 @@ fn handle_conn(conn: TcpStream, runtime: ServerRuntime, stop: Arc<AtomicBool>) -
 
 fn handle_submit(
     reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
     runtime: &ServerRuntime,
     tokens: &mut std::str::SplitWhitespace<'_>,
 ) -> io::Result<()> {
@@ -261,9 +262,11 @@ fn handle_submit(
 }
 
 /// Forwards fanout events as wire lines until the job's terminal event
-/// (or, for `all`, until the client disconnects or the server stops).
+/// (or, for `all`, until the client disconnects or the server stops),
+/// then writes `done` for the caller's flush. Each wakeup writes every
+/// event already queued and flushes the batch once.
 fn stream_events(
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
     runtime: &ServerRuntime,
     stop: &AtomicBool,
     target: Option<JobId>,
@@ -271,59 +274,46 @@ fn stream_events(
     let rx = runtime.subscribe(target);
     writeln!(writer, "ok streaming")?;
     writer.flush()?;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            writeln!(writer, "done")?;
-            return Ok(());
-        }
+    while !stop.load(Ordering::Acquire) {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(event) => {
-                writeln!(writer, "{}", event.render_line())?;
-                if target.is_some() && event.is_terminal() {
-                    writeln!(writer, "done")?;
-                    writer.flush()?;
-                    return Ok(());
+            Ok(first) => {
+                let mut next = Some(first);
+                while let Some(event) = next {
+                    writeln!(writer, "{}", event.render_line())?;
+                    if target.is_some() && event.is_terminal() {
+                        return writeln!(writer, "done");
+                    }
+                    next = rx.try_recv().ok();
                 }
+                writer.flush()?;
             }
             Err(RecvTimeoutError::Timeout) => {
                 // If a targeted job already reached a terminal state
                 // before we subscribed, close the stream instead of
                 // hanging forever.
                 if let Some(id) = target {
-                    match runtime.status(id) {
-                        Ok(status)
-                            if matches!(
-                                status.state,
-                                JobState::Completed | JobState::Failed(_)
-                            ) =>
-                        {
-                            writeln!(writer, "done")?;
-                            writer.flush()?;
-                            return Ok(());
+                    let finished = match runtime.status(id) {
+                        Ok(status) => {
+                            matches!(status.state, JobState::Completed | JobState::Failed(_))
                         }
-                        Err(_) => {
-                            writeln!(writer, "done")?;
-                            writer.flush()?;
-                            return Ok(());
-                        }
-                        _ => {}
+                        Err(_) => true,
+                    };
+                    if finished {
+                        break;
                     }
                 }
-                writer.flush()?;
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                writeln!(writer, "done")?;
-                return Ok(());
-            }
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    writeln!(writer, "done")
 }
 
 /// A blocking protocol client: one connection, lock-step
 /// request/response. Used by the CLI, the soak bench, and tests.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: BufWriter<TcpStream>,
 }
 
 /// A parsed `STATUS`/`WAIT` response.
@@ -388,7 +378,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            writer: BufWriter::new(stream),
         })
     }
 
@@ -524,6 +514,7 @@ mod tests {
     use super::*;
     use crate::runtime::{ServerConfig, ServerRuntime};
     use std::path::PathBuf;
+    use std::time::Instant;
 
     const SRC: &str = r#"
 scenario "net_unit" {
@@ -551,12 +542,40 @@ scenario "net_unit" {
         )
         .unwrap();
         let mut server = Server::bind(rt.clone(), "127.0.0.1:0").unwrap();
+        // A `STREAM all` subscriber, registered before the submit, that
+        // timestamps every line as it arrives.
+        let mut subscriber = TcpStream::connect(server.addr()).unwrap();
+        subscriber
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        subscriber.write_all(b"STREAM all\n").unwrap();
+        let mut subscriber = BufReader::new(subscriber);
+        let mut head = String::new();
+        subscriber.read_line(&mut head).unwrap();
+        assert_eq!(head, "ok streaming\n");
+        let subscriber = std::thread::spawn(move || {
+            let mut lines = Vec::new();
+            loop {
+                let mut line = String::new();
+                if subscriber.read_line(&mut line).expect("stream line") == 0 {
+                    return lines;
+                }
+                let line = line.trim_end().to_string();
+                let done = line == "done";
+                lines.push((Instant::now(), line));
+                if done {
+                    return lines;
+                }
+            }
+        });
+
         let mut client = Client::connect(server.addr()).unwrap();
         client.ping().unwrap();
 
         let spec = JobSpec::new("net_unit", SRC, 0, 2).clamp_ms(8_000);
         let id = client.submit(&spec).unwrap();
         let status = client.wait(id).unwrap();
+        let waited = Instant::now();
         assert!(status.is_completed(), "status: {}", status.line);
         assert_eq!(status.completed_runs, 2);
         for seed in [0, 1] {
@@ -573,7 +592,32 @@ scenario "net_unit" {
         assert!(client.status(JobId(99)).is_err());
         client.ping().unwrap();
 
+        // Stopping the server ends the `all` stream with `done`. Every
+        // run line came through, each seed's start before its
+        // completion, and none later than 100 ms after the WAIT reply:
+        // batches are flushed as they are written, not on a timeout.
         server.stop();
+        let lines = subscriber.join().unwrap();
+        assert_eq!(lines.last().unwrap().1, "done");
+        let runs: Vec<&(Instant, String)> = lines
+            .iter()
+            .filter(|(_, line)| line.starts_with("event=run_"))
+            .collect();
+        assert_eq!(runs.len(), 4, "two starts, two completions: {lines:?}");
+        for seed in [0, 1] {
+            let position = |event: &str| {
+                let prefix = format!("event={event} job={id} seed={seed}");
+                runs.iter()
+                    .position(|(_, line)| line.split(" ticks=").next() == Some(prefix.as_str()))
+                    .unwrap_or_else(|| panic!("no {event} for seed {seed}: {lines:?}"))
+            };
+            assert!(position("run_started") < position("run_completed"));
+        }
+        let deadline = waited + Duration::from_millis(100);
+        for (arrived, line) in &runs {
+            assert!(*arrived <= deadline, "{line} arrived after WAIT + 100 ms");
+        }
+
         rt.shutdown();
         std::fs::remove_file(&path).ok();
     }

@@ -132,8 +132,9 @@ impl ReplayReport {
 
 struct Job {
     spec: JobSpec,
-    /// Compiled once at submit/recovery; `None` only for jobs that
-    /// failed to recompile at recovery.
+    /// Compiled at submit, or at recovery while seeds remain to run;
+    /// `None` once the job completes or fails (a replay recompiles
+    /// `spec`), so the job table keeps no scenario it will not run.
     compiled: Option<CompiledScenario>,
     state: JobState,
     completed: BTreeMap<u64, RunFact>,
@@ -251,20 +252,13 @@ impl ServerRuntime {
                 } => {
                     let spec = JobSpec::new(name.clone(), source.clone(), *seed_start, *seed_count)
                         .clamp_ms(*clamp_ms);
-                    let (compiled, state) = match spec.compile() {
-                        Ok(c) => (Some(c), JobState::Queued),
-                        Err(e) => (
-                            None,
-                            JobState::Failed(format!("recovery recompile failed: {e}")),
-                        ),
-                    };
                     next_job = next_job.max(job + 1);
                     jobs.insert(
                         *job,
                         Job {
                             spec,
-                            compiled,
-                            state,
+                            compiled: None,
+                            state: JobState::Queued,
                             completed: BTreeMap::new(),
                             recovered: 0,
                         },
@@ -297,8 +291,15 @@ impl ServerRuntime {
         let mut finish = Vec::new();
         for (id, job) in jobs.iter_mut() {
             job.recovered = job.completed.len() as u64;
-            if matches!(job.state, JobState::Completed | JobState::Failed(_)) {
+            if job.state == JobState::Completed {
                 continue;
+            }
+            match job.spec.compile() {
+                Ok(compiled) => job.compiled = Some(compiled),
+                Err(e) => {
+                    job.state = JobState::Failed(format!("recovery recompile failed: {e}"));
+                    continue;
+                }
             }
             let missing: Vec<u64> = job
                 .spec
@@ -425,19 +426,16 @@ impl ServerRuntime {
     /// run's state is reused, so a match means the log alone reproduces
     /// the run bit-for-bit.
     pub fn replay(&self, id: JobId, seed: u64) -> Result<ReplayReport, ServerError> {
-        let (compiled, fact) = {
+        let (spec, fact) = {
             let state = self.inner.state.lock().unwrap();
             let job = state.jobs.get(&id.0).ok_or(ServerError::UnknownJob(id))?;
             let fact = *job
                 .completed
                 .get(&seed)
                 .ok_or(ServerError::RunNotCompleted { job: id, seed })?;
-            let compiled = job
-                .compiled
-                .clone()
-                .ok_or_else(|| ServerError::Compile("job failed to recompile".into()))?;
-            (compiled, fact)
+            (job.spec.clone(), fact)
         };
+        let compiled = spec.compile().map_err(ServerError::Compile)?;
         let (ticks, digest) = execute_run(&compiled, seed, u64::MAX, |_| {});
         Ok(ReplayReport {
             job: id,
@@ -610,6 +608,7 @@ fn worker_loop(inner: Arc<Inner>) {
                     job.completed.insert(seed, RunFact { ticks, digest });
                     if job.spec.seeds().all(|s| job.completed.contains_key(&s)) {
                         job.state = JobState::Completed;
+                        job.compiled = None;
                         finished = Some(job.completed.len() as u64);
                     }
                 }
@@ -649,6 +648,7 @@ fn worker_loop(inner: Arc<Inner>) {
 fn mark_failed(state: &mut State, fanout: &Fanout, job_id: u64, error: String) {
     if let Some(job) = state.jobs.get_mut(&job_id) {
         job.state = JobState::Failed(error.clone());
+        job.compiled = None;
     }
     fanout.publish(StreamEvent::JobFailed {
         job: JobId(job_id),
@@ -755,6 +755,12 @@ scenario "runtime_unit" {
         p
     }
 
+    fn holds_compiled(rt: &ServerRuntime, id: JobId) -> bool {
+        rt.inner.state.lock().unwrap().jobs[&id.0]
+            .compiled
+            .is_some()
+    }
+
     fn config(workers: usize) -> ServerConfig {
         ServerConfig {
             workers,
@@ -772,6 +778,10 @@ scenario "runtime_unit" {
         let status = rt.wait(id).unwrap();
         assert_eq!(status.state, JobState::Completed);
         assert_eq!(status.completed_runs, 2);
+        assert!(
+            !holds_compiled(&rt, id),
+            "a finished job drops its scenario"
+        );
         for seed in [3, 4] {
             let report = rt.replay(id, seed).unwrap();
             assert!(report.matches(), "replay diverged: {report:?}");
@@ -805,6 +815,7 @@ scenario "runtime_unit" {
         let rt2 = ServerRuntime::start(&path, config(2)).unwrap();
         let after = rt2.wait(id).unwrap();
         assert_eq!(after.state, JobState::Completed);
+        assert!(!holds_compiled(&rt2, id));
         assert_eq!(after.completed_runs, 3);
         assert!(after.recovered_runs >= 1);
         // Runs recovered from the log kept their digests verbatim.
@@ -817,6 +828,33 @@ scenario "runtime_unit" {
             assert!(rt2.replay(id, seed).unwrap().matches());
         }
         rt2.shutdown();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unfinished_job_that_no_longer_compiles_fails_at_recovery() {
+        let path = tmp("recompile");
+        std::fs::remove_file(&path).ok();
+        RunLog::create(&path)
+            .unwrap()
+            .append(&Record::JobSubmitted {
+                job: 1,
+                name: "bad".into(),
+                source: "scenario {".into(),
+                seed_start: 0,
+                seed_count: 1,
+                clamp_ms: 5_000,
+            })
+            .unwrap();
+        let rt = ServerRuntime::start(&path, config(1)).unwrap();
+        let status = rt.status(JobId(1)).unwrap();
+        assert!(
+            matches!(&status.state, JobState::Failed(e) if e.starts_with("recovery recompile failed")),
+            "{}",
+            status.render_line()
+        );
+        assert!(!holds_compiled(&rt, JobId(1)));
+        rt.shutdown();
         std::fs::remove_file(&path).ok();
     }
 

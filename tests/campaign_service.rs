@@ -12,7 +12,9 @@
 //! * the replay digest equals the live digest computed by the plain
 //!   batch path (`ScenarioBuilder` + `digest_platform`) for the same
 //!   source and seed — the service adds scheduling, never simulation
-//!   drift.
+//!   drift; and
+//! * a plain socket client with Nagle's algorithm on gets every reply
+//!   without a delayed-ACK stall.
 
 use sesame::core::checkpoint::digest_platform;
 use sesame::scenario_dsl::Compiler;
@@ -21,7 +23,10 @@ use sesame::server::{
     StreamEvent,
 };
 use sesame::types::time::SimTime;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 const SRC: &str = r#"
 scenario "campaign_gate" {
@@ -178,6 +183,63 @@ fn concurrent_campaigns_multiplex_one_pool_without_interference() {
     let a = rt.status(ids[0]).expect("status a");
     let b = rt.status(ids[1]).expect("status b");
     assert_eq!(a.digests[&1], b.digests[&1]);
+    rt.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn plain_socket_client_gets_every_reply_without_a_delayed_ack_stall() {
+    let path = tmp("plain-socket");
+    std::fs::remove_file(&path).ok();
+    let rt = ServerRuntime::start(&path, config(1)).expect("start");
+    let mut server = Server::bind(rt.clone(), "127.0.0.1:0").expect("bind");
+
+    // Any third-party client: a raw socket, Nagle's algorithm left on,
+    // one write per request. A reply the server writes in pieces would
+    // hold its second piece until this side's delayed ACK (~40 ms).
+    let conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = conn.try_clone().expect("clone");
+    let mut reader = BufReader::new(conn);
+    let mut roundtrip = |request: &[u8]| {
+        let sent = Instant::now();
+        writer.write_all(request).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        (reply, sent.elapsed())
+    };
+
+    // The accept loop polls every 5 ms: a first PING makes sure the
+    // connection is being served before anything is timed.
+    let (reply, _) = roundtrip(b"PING\n");
+    assert_eq!(reply, "ok pong\n");
+    let mut submit = format!("SUBMIT campaign_gate 0 1 2000 {}\n", SRC.len()).into_bytes();
+    submit.extend_from_slice(SRC.as_bytes());
+    let (reply, submit_rtt) = roundtrip(&submit);
+    assert_eq!(reply, "ok job-1 seeds=1\n");
+    let mut status_rtts: Vec<Duration> = (0..16)
+        .map(|_| {
+            let (reply, rtt) = roundtrip(b"STATUS job-1\n");
+            assert!(reply.starts_with("ok job-1 "), "status reply: {reply}");
+            rtt
+        })
+        .collect();
+    let (reply, _) = roundtrip(b"WAIT job-1\n");
+    assert!(reply.contains("state=completed"), "wait reply: {reply}");
+
+    status_rtts.sort();
+    let median = status_rtts[status_rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "STATUS round trip median {median:?}: {status_rtts:?}"
+    );
+    assert!(
+        submit_rtt < Duration::from_millis(10),
+        "SUBMIT took {submit_rtt:?}"
+    );
+
+    server.stop();
     rt.shutdown();
     std::fs::remove_file(&path).ok();
 }
