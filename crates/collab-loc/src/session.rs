@@ -53,11 +53,6 @@ impl CollabSession {
         }
     }
 
-    /// Number of collaborating agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// The synchronized fix database.
     pub fn database(&self) -> &[FixRecord] {
         &self.database

@@ -22,7 +22,6 @@ use crate::platform::database::DatabaseManager;
 use crate::platform::gcs::{GroundControlStation, StatusSnapshot, UavStatusLine};
 use crate::platform::task_manager::TaskManager;
 use crate::platform::uav_manager::UavManager;
-use crate::reference::ReferenceEddiRuntime;
 use crate::shard::panic_message;
 use crate::supervision::{
     Action, Cause, HealthState, Observation, Supervisor, HEARTBEAT_PERIOD, MAX_COMMAND_RETRIES,
@@ -30,12 +29,8 @@ use crate::supervision::{
 };
 use sesame_collab_loc::agent::CollaborativeAgent;
 use sesame_collab_loc::session::{CollabSession, LandingGuidance};
-use sesame_conserts::catalog::{
-    certified_navigation_accuracy_m, decide_mission, evaluate_uav, uav_consert_network,
-    MissionDecision, UavAction, UavEvidence,
-};
-use sesame_conserts::engine::ConsertNetwork;
-use sesame_conserts::incremental::{ConsertDecision, IncrementalConsertNetwork};
+use sesame_conserts::catalog::{decide_mission, MissionDecision, UavAction};
+use sesame_conserts::incremental::IncrementalConsertNetwork;
 use sesame_middleware::auth::{AuthKey, MessageAuth};
 use sesame_middleware::broker::AlertBroker;
 use sesame_middleware::bus::{MessageBus, Subscription};
@@ -44,7 +39,6 @@ use sesame_middleware::message::{Message, Payload};
 use sesame_obs::span::phase;
 use sesame_obs::{MetricsRegistry, MetricsSnapshot, TickSpan, TraceEvent, TraceLog};
 use sesame_safedrones::monitor::SafeDronesConfig;
-use sesame_safedrones::monitor::SafeDronesMonitor;
 use sesame_sar::accuracy::{AltitudeDecision, AltitudePolicy};
 use sesame_security::catalog as attack_catalog;
 use sesame_security::eddi::SecurityEddi;
@@ -99,12 +93,6 @@ pub struct PlatformConfig {
     pub motor_count: usize,
     /// Motor losses each airframe tolerates through reconfiguration.
     pub tolerated_motor_failures: usize,
-    /// Whether the incremental EDDI fast path runs (solver profile cache,
-    /// rank-indexed SafeML, SINADRA factor cache, attack-tree indexing,
-    /// fingerprint-gated ConSerts). `false` selects the naive reference
-    /// runtimes — bit-identical results, recomputed from scratch each
-    /// tick. On by default; the conformance suite flips it off.
-    pub eddi_fast_path: bool,
 }
 
 impl Default for PlatformConfig {
@@ -124,7 +112,6 @@ impl Default for PlatformConfig {
             visibility: 1.0,
             motor_count: 4,
             tolerated_motor_failures: 0,
-            eddi_fast_path: true,
         }
     }
 }
@@ -333,13 +320,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Enables or disables the incremental EDDI fast path (on by
-    /// default). Disabling selects the naive reference runtimes.
-    pub fn eddi_fast_path(mut self, on: bool) -> Self {
-        self.config.eddi_fast_path = on;
-        self
-    }
-
     /// Validates the assembled configuration.
     pub fn build(self) -> Result<PlatformConfig, ConfigError> {
         self.config.validate()?;
@@ -358,105 +338,10 @@ pub struct ClLandingOutcome {
     pub at: SimTime,
 }
 
-/// The per-UAV Safety EDDI engine: the incremental fast path (default)
-/// or the naive reference runtime, selected by
-/// [`PlatformConfig::eddi_fast_path`]. Both produce bit-identical
-/// outputs; the reference variant recomputes everything each tick.
-enum EddiEngine {
-    Fast(UavEddiRuntime),
-    Reference(ReferenceEddiRuntime),
-}
-
-impl EddiEngine {
-    fn set_remaining_mission(&mut self, remaining: SimDuration) {
-        match self {
-            EddiEngine::Fast(rt) => rt.set_remaining_mission(remaining),
-            EddiEngine::Reference(rt) => rt.set_remaining_mission(remaining),
-        }
-    }
-
-    fn tick(&mut self, telemetry: &UavTelemetry, scene: &SceneCondition) -> EddiOutputs {
-        match self {
-            EddiEngine::Fast(rt) => rt.tick(telemetry, scene),
-            EddiEngine::Reference(rt) => rt.tick(telemetry, scene),
-        }
-    }
-
-    fn last_outputs(&self) -> Option<&EddiOutputs> {
-        match self {
-            EddiEngine::Fast(rt) => rt.last_outputs(),
-            EddiEngine::Reference(rt) => rt.last_outputs(),
-        }
-    }
-
-    fn evidence(
-        &self,
-        telemetry: &UavTelemetry,
-        attack_detected: bool,
-        neighbors_available: bool,
-    ) -> UavEvidence {
-        match self {
-            EddiEngine::Fast(rt) => rt.evidence(telemetry, attack_detected, neighbors_available),
-            EddiEngine::Reference(rt) => {
-                rt.evidence(telemetry, attack_detected, neighbors_available)
-            }
-        }
-    }
-
-    fn safedrones(&self) -> &SafeDronesMonitor {
-        match self {
-            EddiEngine::Fast(rt) => rt.safedrones(),
-            EddiEngine::Reference(rt) => rt.safedrones(),
-        }
-    }
-
-    fn cache_stats(&self) -> EddiCacheStats {
-        match self {
-            EddiEngine::Fast(rt) => rt.cache_stats(),
-            EddiEngine::Reference(_) => EddiCacheStats::default(),
-        }
-    }
-}
-
-/// The per-UAV ConSert evaluator: fingerprint-gated single evaluation on
-/// the fast path, the naive two-evaluation catalog calls on the
-/// reference path.
-enum ConsertRuntime {
-    Fast(IncrementalConsertNetwork),
-    Reference(ConsertNetwork),
-}
-
-impl ConsertRuntime {
-    /// One tick's decision: the UAV action plus the certified navigation
-    /// accuracy bound.
-    fn decide(&mut self, uav: &str, evidence: &UavEvidence) -> ConsertDecision {
-        match self {
-            ConsertRuntime::Fast(inc) => inc.decide(evidence),
-            ConsertRuntime::Reference(net) => ConsertDecision {
-                action: evaluate_uav(net, uav, evidence),
-                nav_accuracy_m: certified_navigation_accuracy_m(net, uav, evidence),
-            },
-        }
-    }
-
-    fn cache_stats(&self) -> EddiCacheStats {
-        match self {
-            ConsertRuntime::Fast(inc) => {
-                let s = inc.stats();
-                EddiCacheStats {
-                    hits: s.hits,
-                    misses: s.misses,
-                }
-            }
-            ConsertRuntime::Reference(_) => EddiCacheStats::default(),
-        }
-    }
-}
-
 struct UavRt {
     handle: UavHandle,
-    eddi: Option<EddiEngine>,
-    conserts: Option<ConsertRuntime>,
+    eddi: Option<UavEddiRuntime>,
+    conserts: Option<IncrementalConsertNetwork>,
     detector: PersonDetector,
     route_uploaded: bool,
     attack_detected: bool,
@@ -474,7 +359,7 @@ struct UavRt {
     /// each backoff and promoted to `eddi` on release. The faulted
     /// engine in `eddi` is never ticked again — its internal state is
     /// suspect after an unwind.
-    probe_eddi: Option<EddiEngine>,
+    probe_eddi: Option<UavEddiRuntime>,
     /// Outputs of the last clean (finite, non-panicking) EDDI tick.
     last_good_outputs: Option<EddiOutputs>,
     /// The last-known-good outputs frozen at quarantine entry; GCS
@@ -706,9 +591,6 @@ pub struct Platform {
     gcs_sender: Arc<str>,
     /// Cached metric keys, indexed by UAV: `supervision.state.uav{i}`.
     supervision_state_keys: Vec<String>,
-    /// Cached `UavId` display names, indexed by UAV (the reference
-    /// ConSert catalog selects networks by name every tick).
-    uav_names: Vec<String>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -753,13 +635,7 @@ impl Platform {
         let security_eddis = if config.sesame_enabled {
             attack_catalog::all_trees()
                 .into_iter()
-                .map(|t| {
-                    let mut eddi = SecurityEddi::attach(t, &mut broker);
-                    if config.eddi_fast_path {
-                        eddi.enable_fast_path();
-                    }
-                    eddi
-                })
+                .map(|t| SecurityEddi::attach(t, &mut broker))
                 .collect()
         } else {
             Vec::new()
@@ -792,7 +668,7 @@ impl Platform {
             cmd_subs.push(bus.subscribe(format!("/{id}/cmd/#")));
             let conserts = config
                 .sesame_enabled
-                .then(|| Self::consert_runtime(&config, id));
+                .then(|| IncrementalConsertNetwork::new(id.to_string()));
             uavs.push(UavRt {
                 handle,
                 eddi: engines.next(),
@@ -857,7 +733,6 @@ impl Platform {
         let supervision_state_keys = (0..n)
             .map(|i| format!("supervision.state.uav{i}"))
             .collect();
-        let uav_names = uavs.iter().map(|u| u.handle.id().to_string()).collect();
         Platform {
             config,
             sim,
@@ -913,7 +788,6 @@ impl Platform {
             heartbeat_topics,
             gcs_sender: "node:gcs".into(),
             supervision_state_keys,
-            uav_names,
         }
     }
 
@@ -924,25 +798,10 @@ impl Platform {
     }
 
     /// A fresh EDDI engine for UAV `i`, as construction and the revival
-    /// probe build it. The engine kind follows the configured path, so a
-    /// released UAV rejoins with the engine kind it left.
-    fn eddi_engine(config: &PlatformConfig, i: usize) -> EddiEngine {
+    /// probe build it.
+    fn eddi_engine(config: &PlatformConfig, i: usize) -> UavEddiRuntime {
         let seed = config.seed ^ ((i as u64 + 1) << 16);
-        let (safedrones, origin) = (config.safedrones.clone(), Self::origin());
-        if config.eddi_fast_path {
-            EddiEngine::Fast(UavEddiRuntime::new(seed, safedrones, origin))
-        } else {
-            EddiEngine::Reference(ReferenceEddiRuntime::new(seed, safedrones, origin))
-        }
-    }
-
-    /// A fresh ConSert runtime for UAV `id`, matching the configured path.
-    fn consert_runtime(config: &PlatformConfig, id: UavId) -> ConsertRuntime {
-        if config.eddi_fast_path {
-            ConsertRuntime::Fast(IncrementalConsertNetwork::new(id.to_string()))
-        } else {
-            ConsertRuntime::Reference(uav_consert_network(&id.to_string()))
-        }
+        UavEddiRuntime::new(seed, config.safedrones.clone(), Self::origin())
     }
 
     /// The simulator (fault injection, environment).
@@ -1432,8 +1291,7 @@ impl Platform {
         self.trace.absorb(self.bus.trace_mut());
 
         // EDDI cache counters, mirrored the same way: aggregated hit/miss
-        // totals across every UAV's solver, BN and ConSert caches (all
-        // zero when the reference path runs).
+        // totals across every UAV's solver, BN and ConSert caches.
         if self.config.sesame_enabled {
             let mut cache = EddiCacheStats::default();
             for u in &self.uavs {
@@ -1443,7 +1301,7 @@ impl Platform {
                     cache.misses += s.misses;
                 }
                 if let Some(c) = &u.conserts {
-                    let s = c.cache_stats();
+                    let s = c.stats();
                     cache.hits += s.hits;
                     cache.misses += s.misses;
                 }
@@ -2108,7 +1966,8 @@ impl Platform {
                         rt.frozen_outputs = None;
                         rt.last_good_outputs = None;
                         if rt.conserts.is_some() {
-                            rt.conserts = Some(Self::consert_runtime(&self.config, rt.handle.id()));
+                            rt.conserts =
+                                Some(IncrementalConsertNetwork::new(rt.handle.id().to_string()));
                         }
                     }
                     self.record_health_transition(i, from, to, reason, now);
@@ -2346,7 +2205,6 @@ impl Platform {
                 HealthState::SafeFallback | HealthState::Quarantined
             )
         };
-        let uav_names = &self.uav_names;
         let mut slots = std::mem::take(&mut self.scratch.slots);
         slots.resize_with(n, UavSlot::default);
         fan_out(&self.shards, &mut self.uavs, &mut slots, |i, rt, slot| {
@@ -2360,11 +2218,9 @@ impl Platform {
             let tel = &telemetries[i];
             let neighbors_available = airborne >= 3 && tel.link_quality > 0.4;
             let evidence = eddi.evidence(tel, rt.attack_detected, neighbors_available);
-            // One call answers both the action and the accuracy bound —
-            // the fast path evaluates the network at most once per tick.
-            // The UAV name is cached at construction; the reference
-            // catalog keys its network lookup on it every tick.
-            let decision = conserts.decide(&uav_names[i], &evidence);
+            // One call answers both the action and the accuracy bound,
+            // evaluating the network at most once per tick.
+            let decision = conserts.decide(&evidence);
             rt.last_nav_accuracy = decision.nav_accuracy_m;
             slot.action = Some(decision.action.unwrap_or(UavAction::EmergencyLand));
         });
@@ -2968,61 +2824,6 @@ mod tests {
         );
         assert!(p.pending_cmds.is_empty(), "delivery acknowledged");
         assert_eq!(m.counter("commands.retry_exhausted"), 0);
-    }
-
-    /// A fast-path platform and a reference-path platform stepped in
-    /// lockstep from the same seed agree bit for bit on every recorded
-    /// series and decision — only the cache counters differ.
-    #[test]
-    fn eddi_fast_path_matches_reference_run() {
-        let mut fast = Platform::new(quick_config());
-        let mut cfg = quick_config();
-        cfg.eddi_fast_path = false;
-        let mut reference = Platform::new(cfg);
-        fast.launch();
-        reference.launch();
-        for _ in 0..80 {
-            fast.step();
-            reference.step();
-        }
-        let (f, r) = (fast.series(), reference.series());
-        assert_eq!(f.pof().len(), r.pof().len());
-        for (a, b) in f.pof().iter().zip(r.pof()) {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "pof diverged at t={}", a.0);
-        }
-        for (a, b) in f.uncertainty().iter().zip(r.uncertainty()) {
-            assert_eq!(
-                a.1.to_bits(),
-                b.1.to_bits(),
-                "uncertainty diverged at t={}",
-                a.0
-            );
-        }
-        for i in 0..fast.uav_count() {
-            assert_eq!(
-                fast.certified_nav_accuracy_m(i),
-                reference.certified_nav_accuracy_m(i),
-                "nav accuracy diverged for uav{i}"
-            );
-        }
-        assert_eq!(
-            fast.events().iter().count(),
-            reference.events().iter().count()
-        );
-        // The fast path actually cached; the reference path reports zero.
-        assert!(fast.metrics().counter("eddi.cache.hit") > 0);
-        assert_eq!(reference.metrics().counter("eddi.cache.hit"), 0);
-        assert_eq!(reference.metrics().counter("eddi.cache.miss"), 0);
-    }
-
-    #[test]
-    fn builder_sets_eddi_fast_path() {
-        let cfg = PlatformConfig::builder()
-            .eddi_fast_path(false)
-            .build()
-            .expect("valid config");
-        assert!(!cfg.eddi_fast_path);
-        assert!(PlatformConfig::default().eddi_fast_path, "fast by default");
     }
 
     #[test]

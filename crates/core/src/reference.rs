@@ -9,7 +9,9 @@
 //! re-eliminates the full factor set. Both runtimes build their models
 //! with [`DesignTime::build`], so a fast and a reference runtime built
 //! from the same seed hold bit-identical models by construction, and the
-//! conformance suite can lockstep their tick outputs.
+//! conformance suite can lockstep their tick outputs. No production type
+//! holds one: the platform runs only the fast runtime, and this one
+//! exists to check it (`tests/eddi_conformance.rs`, `eddibench`).
 
 use sesame_conserts::catalog::UavEvidence;
 use sesame_deepknowledge::nn::Mlp;

@@ -7,7 +7,7 @@
 //! privileged access to subscriber state — exactly like a network-level
 //! adversary.
 
-use crate::bus::{MessageBus, Subscription, TamperId};
+use crate::bus::{MessageBus, Subscription};
 use crate::message::{Message, Payload};
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
@@ -48,7 +48,6 @@ pub struct AttackInjector {
     forged_seq: u64,
     tap: Option<Subscription>,
     recorded: Vec<Message>,
-    tamper: Option<TamperId>,
     kind: AttackKind,
 }
 
@@ -67,7 +66,6 @@ impl AttackInjector {
             forged_seq: 1000,
             tap,
             recorded: Vec::new(),
-            tamper: None,
             kind,
         }
     }
@@ -133,7 +131,7 @@ impl AttackInjector {
             AttackKind::Mitm { pattern } => pattern.clone(),
             other => panic!("install_waypoint_offset on non-mitm attack {other:?}"),
         };
-        let id = bus.install_tamper(
+        bus.install_tamper(
             pattern,
             Box::new(move |m| {
                 if let Payload::WaypointCommand { waypoint, .. } = &mut m.payload {
@@ -147,14 +145,6 @@ impl AttackInjector {
                 }
             }),
         );
-        self.tamper = Some(id);
-    }
-
-    /// Stops an installed MITM tamper, if any.
-    pub fn disarm_mitm(&mut self, bus: &mut MessageBus) {
-        if let Some(id) = self.tamper.take() {
-            bus.remove_tamper(id);
-        }
     }
 
     /// For `Replay`/`Eavesdrop` attacks: pulls newly observed traffic into

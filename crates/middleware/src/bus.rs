@@ -710,11 +710,6 @@ impl MessageBus {
     pub fn in_flight_len(&self) -> usize {
         self.in_flight.len()
     }
-
-    /// Number of distinct topics the bus has interned.
-    pub fn topic_count(&self) -> usize {
-        self.topics.len()
-    }
 }
 
 // Each parallel campaign worker owns a private bus, but the bus (and

@@ -64,10 +64,10 @@ pub struct SecurityEddi {
     /// Per-UAV triggered leaf sets.
     triggered: HashMap<UavId, HashSet<String>>,
     detected_at: HashMap<UavId, SimTime>,
-    /// Fast path: the flattened tree plus per-UAV memoized evaluation
-    /// states, maintained incrementally as alerts arrive. `None` keeps
-    /// the naive rebuild-per-query behaviour.
-    indexed: Option<IndexedTree>,
+    /// The flattened tree plus per-UAV memoized evaluation states,
+    /// maintained incrementally as alerts arrive: a `root_reached` query
+    /// costs O(1), an alert O(depth).
+    indexed: IndexedTree,
     states: HashMap<UavId, IndexedTreeState>,
 }
 
@@ -77,33 +77,13 @@ impl SecurityEddi {
     pub fn attach(tree: AttackTree, broker: &mut AlertBroker) -> Self {
         let subscription = broker.subscribe("ids/alerts/#");
         SecurityEddi {
+            indexed: IndexedTree::new(&tree),
             tree,
             subscription,
             triggered: HashMap::new(),
             detected_at: HashMap::new(),
-            indexed: None,
             states: HashMap::new(),
         }
-    }
-
-    /// Switches `root_reached` queries to the memoized [`IndexedTree`]
-    /// evaluation (O(depth) per alert instead of a full tree rebuild per
-    /// query). Satisfaction is exact boolean algebra, so answers are
-    /// identical to the naive walk; existing trigger state is re-indexed.
-    pub fn enable_fast_path(&mut self) {
-        let ix = IndexedTree::new(&self.tree);
-        self.states = self
-            .triggered
-            .iter()
-            .map(|(uav, set)| {
-                let mut st = ix.state();
-                for leaf in set {
-                    st.trigger(&ix, leaf);
-                }
-                (*uav, st)
-            })
-            .collect();
-        self.indexed = Some(ix);
     }
 
     /// The monitored tree.
@@ -128,12 +108,11 @@ impl SecurityEddi {
                 .entry(*subject)
                 .or_default()
                 .insert(rule.clone());
-            if let Some(ix) = &self.indexed {
-                self.states
-                    .entry(*subject)
-                    .or_insert_with(|| ix.state())
-                    .trigger(ix, rule);
-            }
+            let ix = &self.indexed;
+            self.states
+                .entry(*subject)
+                .or_insert_with(|| ix.state())
+                .trigger(ix, rule);
             if !was_reached && self.root_reached(*subject) {
                 self.detected_at.insert(*subject, now);
                 fresh.push(self.status_for(*subject));
@@ -142,21 +121,14 @@ impl SecurityEddi {
         fresh
     }
 
-    /// Whether the tree root is currently reached for `uav`.
+    /// Whether the tree root is currently reached for `uav`. Satisfaction
+    /// is exact boolean algebra, so the memoized answer is the one the
+    /// tree's own walk ([`AttackTree::fresh_state`]) gives.
     pub fn root_reached(&self, uav: UavId) -> bool {
-        if let Some(ix) = &self.indexed {
-            return match self.states.get(&uav) {
-                Some(st) => st.root_satisfied(),
-                None => ix.state().root_satisfied(),
-            };
+        match self.states.get(&uav) {
+            Some(st) => st.root_satisfied(),
+            None => self.indexed.state().root_satisfied(),
         }
-        let mut state = self.tree.fresh_state();
-        if let Some(set) = self.triggered.get(&uav) {
-            for leaf in set {
-                state.trigger(leaf);
-            }
-        }
-        state.root_reached()
     }
 
     /// The full status for one UAV.
@@ -276,53 +248,86 @@ mod tests {
         assert_eq!(gps.poll(&mut broker, SimTime::ZERO).len(), 1);
     }
 
-    /// A naive EDDI and a fast-path EDDI fed the identical alert stream
-    /// must agree on every detection, status and `root_reached` answer.
+    /// The always-indexed EDDI against the attack tree's own walk
+    /// (`fresh_state` + `trigger` + `root_reached`/`status`/`attack_path`),
+    /// on a seeded random alert stream per catalog tree: duplicates,
+    /// alerts for the other trees and unknown rules, and `clear`s. Every
+    /// poll's detections and every UAV's answers must agree.
     #[test]
-    fn fast_path_locksteps_with_naive_eddi() {
-        let mut naive_broker = AlertBroker::new();
-        let mut fast_broker = AlertBroker::new();
-        let mut naive = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut naive_broker);
-        let mut fast = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut fast_broker);
-        fast.enable_fast_path();
-        let uavs = [UavId::new(1), UavId::new(2), UavId::new(3)];
-        let rules = [
-            "unsigned_publisher",
-            "waypoint_deviation",
-            "gps_anomaly",        // belongs to another tree: must be skipped
-            "unsigned_publisher", // duplicate: must be a no-op
-        ];
-        for (k, rule) in rules.iter().cycle().take(24).enumerate() {
-            let uav = uavs[k % uavs.len()];
-            let at = SimTime::from_millis(k as u64 * 100);
-            publish_alert(&mut naive_broker, uav, rule, at);
-            publish_alert(&mut fast_broker, uav, rule, at);
-            let a = naive.poll(&mut naive_broker, at);
-            let b = fast.poll(&mut fast_broker, at);
-            assert_eq!(a, b, "poll diverged at step {k}");
-            for u in uavs {
-                assert_eq!(naive.root_reached(u), fast.root_reached(u));
-                assert_eq!(naive.status_for(u), fast.status_for(u));
-            }
-        }
-        // Clearing must reset both identically.
-        naive.clear(uavs[0]);
-        fast.clear(uavs[0]);
-        assert_eq!(naive.root_reached(uavs[0]), fast.root_reached(uavs[0]));
-    }
+    fn indexed_eddi_locksteps_with_the_tree_walk() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
 
-    /// Enabling the fast path mid-stream re-indexes existing triggers.
-    #[test]
-    fn enable_fast_path_reindexes_existing_state() {
-        let mut broker = AlertBroker::new();
-        let mut eddi = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut broker);
-        let uav = UavId::new(7);
-        publish_alert(&mut broker, uav, "unsigned_publisher", SimTime::ZERO);
-        publish_alert(&mut broker, uav, "waypoint_deviation", SimTime::ZERO);
-        assert_eq!(eddi.poll(&mut broker, SimTime::ZERO).len(), 1);
-        eddi.enable_fast_path();
-        assert!(eddi.root_reached(uav), "re-indexed state keeps the root");
-        assert!(!eddi.root_reached(UavId::new(99)));
+        let trees = catalog::all_trees();
+        let mut rules: Vec<String> = trees
+            .iter()
+            .flat_map(|t| t.root.leaf_ids())
+            .map(str::to_string)
+            .collect();
+        rules.push("not_a_leaf".into());
+        let uavs = [UavId::new(1), UavId::new(2), UavId::new(3)];
+        for (t, tree) in trees.iter().enumerate() {
+            let mut broker = AlertBroker::new();
+            let mut eddi = SecurityEddi::attach(tree.clone(), &mut broker);
+            let mut walks: HashMap<UavId, _> = HashMap::new();
+            let mut detected_at: HashMap<UavId, SimTime> = HashMap::new();
+            let mut rng = StdRng::seed_from_u64(0xA77AC ^ t as u64);
+            let mut last: Option<(UavId, &str)> = None;
+            let mut fired = 0;
+            for step in 0u64..400 {
+                let at = SimTime::from_millis(step * 100);
+                if rng.random::<f64>() < 0.05 {
+                    let uav = uavs[(rng.random::<u32>() % 3) as usize];
+                    eddi.clear(uav);
+                    walks.remove(&uav);
+                    detected_at.remove(&uav);
+                } else {
+                    let mut expected = Vec::new();
+                    for _ in 0..1 + rng.random::<u32>() % 3 {
+                        // One alert in four repeats the previous one.
+                        let (uav, rule) = match last {
+                            Some(prev) if rng.random::<f64>() < 0.25 => prev,
+                            _ => (
+                                uavs[(rng.random::<u32>() % 3) as usize],
+                                rules[(rng.random::<u64>() % rules.len() as u64) as usize].as_str(),
+                            ),
+                        };
+                        last = Some((uav, rule));
+                        publish_alert(&mut broker, uav, rule, at);
+                        let walk = walks.entry(uav).or_insert_with(|| tree.fresh_state());
+                        let was = walk.root_reached();
+                        walk.trigger(rule);
+                        if !was && walk.root_reached() {
+                            detected_at.insert(uav, at);
+                            expected.push(SecurityStatus {
+                                uav,
+                                tree: tree.name.clone(),
+                                status: walk.status(),
+                                attack_path: walk.attack_path(),
+                                detected_at: Some(at),
+                            });
+                        }
+                    }
+                    fired += expected.len();
+                    let got = eddi.poll(&mut broker, at);
+                    assert_eq!(got, expected, "{}: poll diverged at step {step}", tree.name);
+                }
+                for u in uavs {
+                    let (reached, status, path) = match walks.get(&u) {
+                        Some(w) => (w.root_reached(), w.status(), w.attack_path()),
+                        None => (false, TreeStatus::Quiet, Vec::new()),
+                    };
+                    let ctx = format!("{} {u} step {step}", tree.name);
+                    assert_eq!(eddi.root_reached(u), reached, "root: {ctx}");
+                    let got = eddi.status_for(u);
+                    assert_eq!(got.status, status, "status: {ctx}");
+                    assert_eq!(got.attack_path, path, "path: {ctx}");
+                    assert_eq!(got.detected_at, detected_at.get(&u).copied(), "{ctx}");
+                }
+            }
+            // Clears let a UAV's root fire again.
+            assert!(fired > uavs.len(), "{}: {fired} detections", tree.name);
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! * `waypoint_deviation` — a waypoint command farther from the registered
 //!   mission plan than the allowed corridor.
 
-use crate::attack_tree::AttackLeaf;
 use sesame_middleware::auth::MessageAuth;
 use sesame_middleware::broker::topic_matches;
 use sesame_middleware::message::{Message, Payload};
@@ -246,12 +245,6 @@ fn subject_of(msg: &Message) -> UavId {
             .map(UavId::new)
             .unwrap_or(UavId::new(0)),
     }
-}
-
-/// Looks up the severity the catalog assigns to a rule's leaf, for
-/// consistency between alerts and trees.
-pub fn catalog_severity(leaf: &AttackLeaf) -> Severity {
-    leaf.severity
 }
 
 #[cfg(test)]

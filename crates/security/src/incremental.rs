@@ -2,8 +2,9 @@
 //! fast path.
 //!
 //! [`TreeState`](crate::attack_tree::TreeState) re-walks the whole tree on
-//! every `root_reached` query, and [`SecurityEddi`](crate::eddi::SecurityEddi)
-//! rebuilds that state from scratch twice per alert. [`IndexedTree`]
+//! every `root_reached` query, so rebuilding it per alert, as a naive
+//! [`SecurityEddi`](crate::eddi::SecurityEddi) would, costs O(tree) twice
+//! per alert. [`IndexedTree`]
 //! flattens the tree once into DFS-ordered nodes; [`IndexedTreeState`]
 //! memoizes per-subtree **satisfaction** and **success probability**
 //! (leaves contribute their CAPEC likelihood until triggered, then 1.0;

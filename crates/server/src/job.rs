@@ -22,6 +22,10 @@ impl fmt::Display for JobId {
     }
 }
 
+/// The most seeds one campaign may sweep. Each seed is a queued run, so
+/// the bound caps what one request can make the service hold.
+pub const MAX_SEED_COUNT: u64 = 65_536;
+
 /// What a client submits: a scenario source, the seed range to sweep,
 /// and an optional deadline clamp. The clamp is part of the submission
 /// (and of the persisted log record), not server configuration — replay
@@ -35,7 +39,7 @@ pub struct JobSpec {
     pub source: String,
     /// First seed of the sweep.
     pub seed_start: u64,
-    /// How many consecutive seeds to run (≥ 1).
+    /// How many consecutive seeds to run (1 ..= [`MAX_SEED_COUNT`]).
     pub seed_count: u64,
     /// Clamp the scenario deadline to this many milliseconds (0 = run
     /// as declared).
@@ -74,10 +78,23 @@ impl JobSpec {
     /// is the only path from a spec to something runnable — submission
     /// and restart recovery both go through it, so a spec that was
     /// accepted once always recompiles the same way (DSL compilation is
-    /// pure).
+    /// pure). The seed range is checked first: it must hold 1 to
+    /// [`MAX_SEED_COUNT`] seeds and end within `u64`.
     pub fn compile(&self) -> Result<CompiledScenario, String> {
         if self.seed_count == 0 {
             return Err("a campaign must sweep at least one seed".into());
+        }
+        if self.seed_count > MAX_SEED_COUNT {
+            return Err(format!(
+                "a campaign may sweep at most {MAX_SEED_COUNT} seeds, not {}",
+                self.seed_count
+            ));
+        }
+        if self.seed_start.checked_add(self.seed_count).is_none() {
+            return Err(format!(
+                "seed range {} + {} overflows u64",
+                self.seed_start, self.seed_count
+            ));
         }
         let compiled = Compiler::new()
             .compile_str(&self.name, &self.source)
@@ -160,7 +177,7 @@ impl JobStatus {
             self.state.word(),
             self.name,
             self.seed_start,
-            self.seed_start + self.seed_count,
+            self.seed_start.saturating_add(self.seed_count),
             self.completed_runs,
             self.seed_count,
             self.recovered_runs,
@@ -200,6 +217,23 @@ scenario "unit" {
             .compile()
             .unwrap_err();
         assert!(err.contains("error"), "diagnostic rendered: {err}");
+    }
+
+    #[test]
+    fn seed_range_is_bounded_and_must_not_overflow() {
+        let at_cap = JobSpec::new("cap", SRC, 0, MAX_SEED_COUNT);
+        assert!(at_cap.compile().is_ok());
+        assert_eq!(at_cap.seeds().count() as u64, MAX_SEED_COUNT);
+        let err = JobSpec::new("over", SRC, 0, MAX_SEED_COUNT + 1)
+            .compile()
+            .unwrap_err();
+        assert!(err.contains("at most"), "{err}");
+        let err = JobSpec::new("wrap", SRC, u64::MAX - 1, 2)
+            .compile()
+            .unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        // The last seed range that still ends within u64 is accepted.
+        assert!(JobSpec::new("edge", SRC, u64::MAX - 2, 2).compile().is_ok());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use sesame_scenario_dsl::CompiledScenario;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex};
@@ -161,14 +161,13 @@ struct State {
     jobs: BTreeMap<u64, Job>,
     queue: VecDeque<(u64, u64)>,
     next_job: u64,
-    active: usize,
 }
 
 struct Inner {
     state: Mutex<State>,
     /// Wakes workers when units are queued or shutdown is requested.
     work_cv: Condvar,
-    /// Wakes `wait`/`wait_idle` watchers on any job progress.
+    /// Wakes `wait` watchers on any job progress.
     watch_cv: Condvar,
     fanout: Fanout,
     config: ServerConfig,
@@ -201,7 +200,6 @@ impl ServerRuntime {
                     jobs: BTreeMap::new(),
                     queue: VecDeque::new(),
                     next_job: 1,
-                    active: 0,
                 },
                 Vec::new(),
             )
@@ -322,7 +320,6 @@ impl ServerRuntime {
                 jobs,
                 queue,
                 next_job,
-                active: 0,
             },
             finish,
         )
@@ -409,17 +406,6 @@ impl ServerRuntime {
         }
     }
 
-    /// Blocks until no unit is queued or executing.
-    pub fn wait_idle(&self) {
-        let mut state = self.inner.state.lock().unwrap();
-        while !(state.queue.is_empty() && state.active == 0) {
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            state = self.inner.watch_cv.wait(state).unwrap();
-        }
-    }
-
     /// Re-runs a completed seed from the job's logged description and
     /// compares against the logged digest. The replay is a fresh
     /// scenario built from the recompiled source — nothing of the live
@@ -469,12 +455,6 @@ impl ServerRuntime {
             let _ = h.join();
         }
         self.inner.watch_cv.notify_all();
-    }
-
-    /// Finishes every queued unit, then stops — the graceful flavor.
-    pub fn drain_and_shutdown(&self) {
-        self.wait_idle();
-        self.shutdown();
     }
 }
 
@@ -532,11 +512,6 @@ pub fn replay_offline(
     })
 }
 
-/// The path every log file of a default deployment uses.
-pub fn default_log_path() -> PathBuf {
-    PathBuf::from("sesame-server.runlog")
-}
-
 fn worker_loop(inner: Arc<Inner>) {
     loop {
         let (job_id, seed, compiled) = {
@@ -564,7 +539,6 @@ fn worker_loop(inner: Arc<Inner>) {
             let Some(compiled) = job.compiled.clone() else {
                 continue;
             };
-            state.active += 1;
             (id, seed, compiled)
         };
         inner.fanout.publish(StreamEvent::RunStarted {
@@ -580,7 +554,6 @@ fn worker_loop(inner: Arc<Inner>) {
             })
         }));
         let mut state = inner.state.lock().unwrap();
-        state.active -= 1;
         match outcome {
             Ok((ticks, digest)) => {
                 let append = state.log.append(&Record::RunCompleted {
@@ -738,6 +711,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     const SRC: &str = r#"
 scenario "runtime_unit" {
@@ -831,29 +805,39 @@ scenario "runtime_unit" {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A logged job that no longer compiles, for a bad source or an
+    /// oversize seed range, fails at recovery without queueing a run.
     #[test]
     fn unfinished_job_that_no_longer_compiles_fails_at_recovery() {
         let path = tmp("recompile");
         std::fs::remove_file(&path).ok();
-        RunLog::create(&path)
-            .unwrap()
-            .append(&Record::JobSubmitted {
-                job: 1,
+        let mut log = RunLog::create(&path).unwrap();
+        for (job, source, seed_start, seed_count) in
+            [(1, "scenario {", 0, 1), (2, SRC, 7, u64::MAX)]
+        {
+            log.append(&Record::JobSubmitted {
+                job,
                 name: "bad".into(),
-                source: "scenario {".into(),
-                seed_start: 0,
-                seed_count: 1,
+                source: source.into(),
+                seed_start,
+                seed_count,
                 clamp_ms: 5_000,
             })
             .unwrap();
+        }
+        drop(log);
         let rt = ServerRuntime::start(&path, config(1)).unwrap();
-        let status = rt.status(JobId(1)).unwrap();
-        assert!(
-            matches!(&status.state, JobState::Failed(e) if e.starts_with("recovery recompile failed")),
-            "{}",
-            status.render_line()
-        );
-        assert!(!holds_compiled(&rt, JobId(1)));
+        for id in [JobId(1), JobId(2)] {
+            let status = rt.status(id).unwrap();
+            // Rendering must not overflow on the oversize range.
+            let line = status.render_line();
+            assert!(
+                matches!(&status.state, JobState::Failed(e) if e.starts_with("recovery recompile failed")),
+                "{line}"
+            );
+            assert!(!holds_compiled(&rt, id));
+        }
+        assert!(rt.inner.state.lock().unwrap().queue.is_empty());
         rt.shutdown();
         std::fs::remove_file(&path).ok();
     }

@@ -73,11 +73,6 @@ impl SimGps {
         self.spoof_drift.is_some()
     }
 
-    /// Whether the signal is lost.
-    pub fn is_lost(&self) -> bool {
-        self.lost
-    }
-
     /// The accumulated spoofing offset in metres.
     pub fn spoof_offset_m(&self) -> f64 {
         self.spoof_offset.norm()

@@ -135,10 +135,10 @@ gate_max BENCH_fleet.json allocs_per_tick 1.1 fleetbench
 # probes, watchdog demotion). Floors only — the faulted/clean ratio
 # wobbles because quarantined UAVs skip EDDI work.
 gate BENCH_recovery.json uav_ticks_per_sec 0.5 fleetbench-recovery
-# tickbench's headline is the whole-platform speedup on the 3-UAV steady
-# state (fast vs reference engines inside the same process) plus an
-# absolute ticks/sec floor.
-gate BENCH_tick.json speedup       0.8 tickbench
+# tickbench times the shipping platform alone, with no reference
+# platform to divide by, so only the 3-UAV steady state's absolute
+# ticks/sec floor is gated. The fast EDDI + ConSert path's ratio over the
+# reference runtimes is gated above, as eddibench's speedup.
 gate BENCH_tick.json ticks_per_sec 0.5 tickbench
 gate_max BENCH_tick.json allocs_per_tick 1.1 tickbench
 # Campaign-service soak: absolute throughput floors (loose, wall-clock

@@ -55,7 +55,7 @@ echo "==> fleetbench recovery: supervised tick under injected panics must stay p
 cargo run -q --release -p sesame-bench --bin fleetbench -- smoke --inject-panics --jobs 4 > BENCH_recovery.json
 cat BENCH_recovery.json
 
-echo "==> tickbench smoke: end-to-end platform ticks/sec must hold the 3x margin over the reference path with bit-identical digests"
+echo "==> tickbench smoke: end-to-end platform ticks/sec and allocations per tick must hold their baselines"
 cargo run -q --release -p sesame-bench --bin tickbench -- smoke > BENCH_tick.json
 cat BENCH_tick.json
 

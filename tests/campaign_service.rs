@@ -14,7 +14,9 @@
 //!   source and seed — the service adds scheduling, never simulation
 //!   drift; and
 //! * a plain socket client with Nagle's algorithm on gets every reply
-//!   without a delayed-ACK stall.
+//!   without a delayed-ACK stall; and
+//! * an oversize seed range is refused with an `err` reply, and the
+//!   connection and the service keep serving.
 
 use sesame::core::checkpoint::digest_platform;
 use sesame::scenario_dsl::Compiler;
@@ -238,6 +240,49 @@ fn plain_socket_client_gets_every_reply_without_a_delayed_ack_stall() {
         submit_rtt < Duration::from_millis(10),
         "SUBMIT took {submit_rtt:?}"
     );
+
+    server.stop();
+    rt.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A `SUBMIT` whose seed count is `u64::MAX` is refused before anything
+/// is logged or queued: the reply is an `err`, and the same connection
+/// then answers `STATUS` and `WAIT` for a job submitted before it.
+#[test]
+fn oversize_seed_range_is_refused_and_the_connection_keeps_serving() {
+    let path = tmp("oversize");
+    std::fs::remove_file(&path).ok();
+    let rt = ServerRuntime::start(&path, config(1)).expect("start");
+    let mut server = Server::bind(rt.clone(), "127.0.0.1:0").expect("bind");
+    let conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = conn.try_clone().expect("clone");
+    let mut reader = BufReader::new(conn);
+    let mut roundtrip = |request: &[u8]| {
+        writer.write_all(request).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        reply
+    };
+    let submit = |header: &str| {
+        let mut bytes = format!("{header} {}\n", SRC.len()).into_bytes();
+        bytes.extend_from_slice(SRC.as_bytes());
+        bytes
+    };
+
+    assert_eq!(
+        roundtrip(&submit("SUBMIT campaign_gate 0 1 2000")),
+        "ok job-1 seeds=1\n"
+    );
+    let reply = roundtrip(&submit("SUBMIT x 0 18446744073709551615 0"));
+    assert!(reply.starts_with("err "), "oversize submit reply: {reply}");
+    let reply = roundtrip(b"STATUS job-1\n");
+    assert!(reply.starts_with("ok job-1 "), "status reply: {reply}");
+    let reply = roundtrip(b"WAIT job-1\n");
+    assert!(reply.contains("state=completed"), "wait reply: {reply}");
+    assert_eq!(roundtrip(b"STATUS job-2\n"), "err unknown job job-2\n");
 
     server.stop();
     rt.shutdown();

@@ -291,9 +291,8 @@ fn large_fleet_spilled_collections_match_serial_bit_for_bit() {
 
 /// The Auto policy stays on one shard for small fleets (the paper's
 /// 3-UAV demo pays no sharding overhead) and engages for large ones. The
-/// shard plan does not depend on the engine kind: the reference engines
-/// and the SESAME-off baseline shard too, and stay bit-identical to
-/// their one-shard runs.
+/// shard plan does not depend on the SESAME layer: the SESAME-off
+/// baseline shards too, and stays bit-identical to its one-shard run.
 #[test]
 fn auto_policy_scales_with_fleet_size() {
     let small = Platform::new(config(5, 3, ShardPolicy::Auto));
@@ -304,17 +303,12 @@ fn auto_policy_scales_with_fleet_size() {
     );
     let large = Platform::new(config(5, 64, ShardPolicy::Auto));
     assert!(large.shard_count() >= 1);
-    let reference: fn(&mut PlatformConfig) = |cfg| cfg.eddi_fast_path = false;
-    let baseline: fn(&mut PlatformConfig) = |cfg| cfg.sesame_enabled = false;
-    for (name, tweak) in [("reference engines", reference), ("baseline", baseline)] {
-        let plan = |policy| {
-            let mut cfg = config(5, 12, policy);
-            tweak(&mut cfg);
-            cfg
-        };
-        let one = run(plan(ShardPolicy::Serial), 80);
-        let four = run(plan(ShardPolicy::Fixed { shards: 4 }), 80);
-        assert_eq!(four.shard_count(), 4, "{name} must shard");
-        assert_runs_bit_identical(&one, &four, &format!("12 UAVs, 4 shards, {name}"));
-    }
+    let baseline = |policy| PlatformConfig {
+        sesame_enabled: false,
+        ..config(5, 12, policy)
+    };
+    let one = run(baseline(ShardPolicy::Serial), 80);
+    let four = run(baseline(ShardPolicy::Fixed { shards: 4 }), 80);
+    assert_eq!(four.shard_count(), 4, "the baseline must shard");
+    assert_runs_bit_identical(&one, &four, "12 UAVs, 4 shards, baseline");
 }
